@@ -35,8 +35,7 @@ func (p *Prepared) MultiplyBatchWith(as, bs []*matrix.Sparse, mopts ...lbm.Optio
 // MultiplyBatchOn is MultiplyBatchWith on an explicit engine. The map
 // engine runs k independent multiplies — definitionally the oracle the
 // compiled lane-strided walk is differentially tested against — so the two
-// engines return identical lane outputs, and the serving layer's
-// compiled→map fault fallback works for batches exactly as for scalars.
+// engines return identical lane outputs.
 func (p *Prepared) MultiplyBatchOn(e Engine, as, bs []*matrix.Sparse, mopts ...lbm.Option) ([]*matrix.Sparse, *Result, error) {
 	if len(as) == 0 {
 		return nil, nil, fmt.Errorf("algo: empty batch")

@@ -22,7 +22,10 @@ import (
 // costly-on-host) planning over repeated products with the same structure
 // is the natural API for iterative workloads.
 type Prepared struct {
-	Inst   *graph.Instance
+	Inst *graph.Instance
+	// Layout places every support entry on its owner; the map engine loads
+	// and collects through it. Nil on a compiled-only preparation, whose
+	// slot tables already carry every placement.
 	Layout *lbm.Layout
 	R      ring.Semiring
 	Name   string
@@ -134,6 +137,20 @@ func PrepareTheorem42(r ring.Semiring, inst *graph.Instance, opts Theorem42Opts)
 	return p, nil
 }
 
+// DropMapForm discards the map-engine planning state (the layout, the
+// planned phase-1 batches and the Lemma 3.1 job) of a preparation that has
+// a compiled form, leaving the compiled-only shape DecodeCompiledPrepared
+// restores: compiled multiplies are unchanged, EngineMap requests fail with
+// ErrNoMapForm. It is a no-op without a compiled form. Call it before the
+// Prepared is shared — like Prepare itself, it is not safe against
+// concurrent use.
+func (p *Prepared) DropMapForm() {
+	if p.compiled == nil {
+		return
+	}
+	p.Layout, p.phase1, p.fewtri = nil, nil, nil
+}
+
 // Multiply runs the prepared plans on one value set. The values must
 // realize (a subset of) the prepared supports: positions outside the known
 // structure are rejected, positions inside it but absent load as the ring
@@ -154,11 +171,11 @@ func (p *Prepared) MultiplyWith(a, b *matrix.Sparse, mopts ...lbm.Option) (*matr
 }
 
 // MultiplyOn is MultiplyWith on an explicit engine, overriding the prepared
-// default for this call only. Concurrent callers may pick different engines
-// on one shared Prepared (the field-free dispatch the serving layer's
-// compiled→map fault fallback needs). A compiled request on a preparation
-// without a compiled form degrades to the map engine, mirroring the default
-// dispatch.
+// default for this call only, so concurrent callers (the engine differential
+// tests) may pick different engines on one shared Prepared. A compiled
+// request on a preparation without a compiled form degrades to the map
+// engine, mirroring the default dispatch; a map request on a compiled-only
+// preparation fails with ErrNoMapForm.
 func (p *Prepared) MultiplyOn(e Engine, a, b *matrix.Sparse, mopts ...lbm.Option) (*matrix.Sparse, *Result, error) {
 	if err := within(a, p.Inst.Ahat); err != nil {
 		return nil, nil, fmt.Errorf("algo: A %w", err)
@@ -170,8 +187,8 @@ func (p *Prepared) MultiplyOn(e Engine, a, b *matrix.Sparse, mopts ...lbm.Option
 		return p.multiplyCompiled(a, b, mopts...)
 	}
 	if p.fewtri == nil {
-		// Restored from a snapshot: the compiled form exists but the
-		// map-engine planning state was never serialized.
+		// Compiled-only: restored from a snapshot, or the map-engine
+		// planning state was dropped after compiling.
 		return nil, nil, ErrNoMapForm
 	}
 	m := lbm.New(p.Inst.N, p.R, mopts...)

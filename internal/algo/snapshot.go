@@ -14,13 +14,14 @@ import (
 	"lbmm/internal/ring"
 )
 
-// ErrNoMapForm reports that a Prepared holds only its compiled form: it was
-// restored from a serialized snapshot, which carries the lowered instruction
-// streams but not the map-engine planning state (planned batches, the
-// Lemma 3.1 job). Requesting EngineMap on such a preparation fails with this
-// error; callers that fall back to the map engine on faults must treat it as
-// "recompile from structure" rather than "execute differently".
-var ErrNoMapForm = errors.New("algo: prepared form restored from snapshot has no map engine")
+// ErrNoMapForm reports that a Prepared is compiled-only: it holds the
+// lowered instruction streams but not the map-engine planning state (the
+// layout, planned batches, the Lemma 3.1 job). Plans restored from a
+// serialized snapshot never carry that state, and DropMapForm discards it
+// from a fresh one. Requesting EngineMap on such a preparation fails with
+// this error; only a preparation that kept its map form
+// (core.Options.Engine "map") can run the reference engine.
+var ErrNoMapForm = errors.New("algo: compiled-only prepared form has no map engine")
 
 // wireLoadRef is the exported form of loadRef.
 type wireLoadRef struct {
@@ -108,9 +109,9 @@ func (p *Prepared) EncodeCompiled(w io.Writer) error {
 }
 
 // DecodeCompiledPrepared restores a Prepared from a stream written by
-// EncodeCompiled. The result is compiled-only: Multiply and MultiplyBatch
-// run exactly as on a freshly prepared form, while EngineMap requests fail
-// with ErrNoMapForm.
+// EncodeCompiled. The result is compiled-only, like a fresh preparation
+// after DropMapForm: Multiply and MultiplyBatch run exactly as on the form
+// that was encoded, while EngineMap requests fail with ErrNoMapForm.
 //
 // Decoded state crosses a trust boundary (the plan store's files are
 // outside the process), so everything is validated before an executor can
@@ -184,10 +185,8 @@ func DecodeCompiledPrepared(r io.Reader) (*Prepared, error) {
 	cp.few = pw.Few
 	cp.finish(rg)
 
-	inst := graph.NewInstance(pw.D, ahat, bhat, xhat)
 	p := &Prepared{
-		Inst:     inst,
-		Layout:   ChooseLayout(inst),
+		Inst:     graph.NewInstance(pw.D, ahat, bhat, xhat),
 		R:        rg,
 		Name:     pw.Name,
 		compiled: cp,

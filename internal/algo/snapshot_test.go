@@ -107,8 +107,10 @@ func TestSnapshotRoundTripDifferential(t *testing.T) {
 	}
 }
 
-// TestSnapshotHasNoMapForm checks that map-engine requests on a restored
-// preparation fail with the typed ErrNoMapForm, scalar and batched.
+// TestSnapshotHasNoMapForm checks that map-engine requests on a
+// compiled-only preparation — restored from a snapshot, or fresh after
+// DropMapForm — fail with the typed ErrNoMapForm, scalar and batched, while
+// the compiled engine still serves.
 func TestSnapshotHasNoMapForm(t *testing.T) {
 	inst := workload.Blocks(16, 4)
 	r := ring.Counting{}
@@ -117,21 +119,28 @@ func TestSnapshotHasNoMapForm(t *testing.T) {
 	if err := p.EncodeCompiled(&buf); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	q, err := DecodeCompiledPrepared(bytes.NewReader(buf.Bytes()))
+	restored, err := DecodeCompiledPrepared(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
+	dropped := prepareFor(t, r, inst, "lemma31")
+	dropped.DropMapForm()
 	a := matrix.Random(inst.Ahat, r, 1)
 	b := matrix.Random(inst.Bhat, r, 2)
-	if _, _, err := q.MultiplyOn(EngineMap, a, b); !errors.Is(err, ErrNoMapForm) {
-		t.Fatalf("map multiply on restored form: err=%v, want ErrNoMapForm", err)
-	}
-	if _, _, err := q.MultiplyBatchOn(EngineMap, []*matrix.Sparse{a}, []*matrix.Sparse{b}); !errors.Is(err, ErrNoMapForm) {
-		t.Fatalf("map batch on restored form: err=%v, want ErrNoMapForm", err)
-	}
-	// The compiled engine still works.
-	if _, _, err := q.Multiply(a, b); err != nil {
-		t.Fatalf("compiled multiply on restored form: %v", err)
+	for name, q := range map[string]*Prepared{"restored": restored, "dropped": dropped} {
+		if _, _, err := q.MultiplyOn(EngineMap, a, b); !errors.Is(err, ErrNoMapForm) {
+			t.Fatalf("%s: map multiply: err=%v, want ErrNoMapForm", name, err)
+		}
+		if _, _, err := q.MultiplyBatchOn(EngineMap, []*matrix.Sparse{a}, []*matrix.Sparse{b}); !errors.Is(err, ErrNoMapForm) {
+			t.Fatalf("%s: map batch: err=%v, want ErrNoMapForm", name, err)
+		}
+		x, _, err := q.Multiply(a, b)
+		if err != nil {
+			t.Fatalf("%s: compiled multiply: %v", name, err)
+		}
+		if !matrix.Equal(x, matrix.MulReference(a, b, inst.Xhat)) {
+			t.Fatalf("%s: compiled multiply: wrong product", name)
+		}
 	}
 }
 

@@ -35,8 +35,9 @@ type Options struct {
 	// "theorem42", "lemma31", "trivial", "baseline".
 	Algorithm string
 	// Engine selects the prepared execution engine: "" or "compiled" (the
-	// slot-addressed compiled form, default) or "map" (the reference
-	// map-backed machine). Only the prepared path distinguishes engines.
+	// slot-addressed compiled form, default; the plan is compiled-only) or
+	// "map" (the reference map-backed machine; the plan keeps both forms).
+	// Only the prepared path distinguishes engines.
 	Engine string
 	// Workers selects the goroutine execution engine (0 = sequential).
 	Workers int

@@ -56,8 +56,9 @@ type preparedEnvelope struct {
 
 // Encode writes the prepared multiplication as a versioned envelope. Only
 // the compiled execution state is serialized; a Prepared restored from the
-// stream serves compiled multiplies identically but has no map-engine form
-// (see algo.ErrNoMapForm).
+// stream serves compiled multiplies identically and, like every plan
+// prepared for the compiled engine, has no map-engine form (see
+// algo.ErrNoMapForm).
 func (p *Prepared) Encode(w io.Writer) error {
 	if p == nil || p.inner == nil {
 		return fmt.Errorf("core: nothing to encode")

@@ -73,7 +73,10 @@ func Prepare(ahat, bhat, xhat *matrix.Support, opts Options) (*Prepared, error) 
 	}
 	switch opts.Engine {
 	case "", string(algo.EngineCompiled):
-		inner.Engine = algo.EngineCompiled
+		// The compiled engine never reads the map planning state, so drop
+		// it: a fresh plan then has the shape, and the memory cost, of one
+		// restored from the plan store.
+		inner.DropMapForm()
 	case string(algo.EngineMap):
 		inner.Engine = algo.EngineMap
 	default:
@@ -122,16 +125,11 @@ func (p *Prepared) MultiplyTraced(a, b *matrix.Sparse, trace bool) (*matrix.Spar
 	return p.MultiplyOpts(a, b, ExecOpts{Trace: trace})
 }
 
-// ExecOpts are per-call execution options for MultiplyOpts. The zero value
-// is a plain Multiply on the prepared engine.
+// ExecOpts are per-call execution options for MultiplyOpts and
+// MultiplyBatch. The zero value is a plain Multiply on the prepared engine.
 type ExecOpts struct {
 	// Trace records a per-call execution profile into the Report.
 	Trace bool
-	// Engine overrides the prepared engine for this call only: "" keeps the
-	// prepared default, "compiled" and "map" force an engine. The serving
-	// layer's fault fallback re-serves a request on "map" after a compiled
-	// fault without touching the shared Prepared.
-	Engine string
 	// Injector subjects the execution to deterministic fault injection
 	// (chaos testing, docs/CHAOS.md); nil runs a perfect network.
 	Injector lbm.Injector
@@ -142,36 +140,29 @@ type ExecOpts struct {
 	Transport lbm.Transport
 }
 
+// machineOptions translates the per-call options into machine options.
+func (o ExecOpts) machineOptions() []lbm.Option {
+	var mopts []lbm.Option
+	if o.Trace {
+		mopts = append(mopts, lbm.WithTrace())
+	}
+	if o.Injector != nil {
+		mopts = append(mopts, lbm.WithInjector(o.Injector))
+	}
+	if o.Transport != nil {
+		mopts = append(mopts, lbm.WithTransport(o.Transport))
+	}
+	return mopts
+}
+
 // MultiplyOpts executes the prepared plans on one value set with per-call
 // execution options. Like Multiply it is safe for concurrent use.
 func (p *Prepared) MultiplyOpts(a, b *matrix.Sparse, opts ExecOpts) (*matrix.Sparse, *Report, error) {
-	var mopts []lbm.Option
-	if opts.Trace {
-		mopts = append(mopts, lbm.WithTrace())
-	}
-	if opts.Injector != nil {
-		mopts = append(mopts, lbm.WithInjector(opts.Injector))
-	}
-	if opts.Transport != nil {
-		mopts = append(mopts, lbm.WithTransport(opts.Transport))
-	}
-	var (
-		x   *matrix.Sparse
-		res *algo.Result
-		err error
-	)
-	switch opts.Engine {
-	case "":
-		x, res, err = p.inner.MultiplyWith(a, b, mopts...)
-	case string(algo.EngineCompiled), string(algo.EngineMap):
-		x, res, err = p.inner.MultiplyOn(algo.Engine(opts.Engine), a, b, mopts...)
-	default:
-		return nil, nil, fmt.Errorf("core: unknown engine %q (want %q or %q)", opts.Engine, algo.EngineCompiled, algo.EngineMap)
-	}
+	x, res, err := p.inner.MultiplyWith(a, b, opts.machineOptions()...)
 	if err != nil {
 		return nil, nil, err
 	}
-	return x, &Report{Result: *res, Classes: p.Classes, D: p.D, Band: p.Band}, nil
+	return x, p.report(res), nil
 }
 
 // MultiplyBatch executes the prepared plans on k value sets in one batched
@@ -182,31 +173,14 @@ func (p *Prepared) MultiplyOpts(a, b *matrix.Sparse, opts ExecOpts) (*matrix.Spa
 // the whole batch — lanes share every round, so there is no partial
 // success. Safe for concurrent use, like Multiply.
 func (p *Prepared) MultiplyBatch(as, bs []*matrix.Sparse, opts ExecOpts) ([]*matrix.Sparse, *Report, error) {
-	var mopts []lbm.Option
-	if opts.Trace {
-		mopts = append(mopts, lbm.WithTrace())
-	}
-	if opts.Injector != nil {
-		mopts = append(mopts, lbm.WithInjector(opts.Injector))
-	}
-	if opts.Transport != nil {
-		mopts = append(mopts, lbm.WithTransport(opts.Transport))
-	}
-	var (
-		outs []*matrix.Sparse
-		res  *algo.Result
-		err  error
-	)
-	switch opts.Engine {
-	case "":
-		outs, res, err = p.inner.MultiplyBatchWith(as, bs, mopts...)
-	case string(algo.EngineCompiled), string(algo.EngineMap):
-		outs, res, err = p.inner.MultiplyBatchOn(algo.Engine(opts.Engine), as, bs, mopts...)
-	default:
-		return nil, nil, fmt.Errorf("core: unknown engine %q (want %q or %q)", opts.Engine, algo.EngineCompiled, algo.EngineMap)
-	}
+	outs, res, err := p.inner.MultiplyBatchWith(as, bs, opts.machineOptions()...)
 	if err != nil {
 		return nil, nil, err
 	}
-	return outs, &Report{Result: *res, Classes: p.Classes, D: p.D, Band: p.Band}, nil
+	return outs, p.report(res), nil
+}
+
+// report wraps an execution result with the prepared classification.
+func (p *Prepared) report(res *algo.Result) *Report {
+	return &Report{Result: *res, Classes: p.Classes, D: p.D, Band: p.Band}
 }

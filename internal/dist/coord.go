@@ -229,6 +229,11 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	return out, nil
 }
 
+// refusalReadTimeout bounds how long runRank waits for a worker's refusal
+// after the job frame failed to send; a refusing worker wrote it before
+// closing, so it is already in flight.
+const refusalReadTimeout = time.Second
+
 // runRank ships the job to one worker and reads back its partial result.
 func runRank(cfg RunConfig, job string, rk int, addr string, table []uint16, fp string, plan, lanes []byte, dialTO, resultTO time.Duration) (*resultFrame, error) {
 	conn, err := dialRetry(addr, dialTO)
@@ -252,6 +257,15 @@ func runRank(cfg RunConfig, job string, rk int, addr string, table []uint16, fp 
 		Lanes:       lanes,
 	}
 	if err := writeFrame(conn, &jf); err != nil {
+		// A worker that refuses the hello (a mismatched auth token) answers
+		// with an error result and closes without reading the job frame, so
+		// this write can fail with a broken pipe while the refusal already
+		// waits in the receive buffer: report the reason, not the pipe.
+		conn.SetReadDeadline(time.Now().Add(refusalReadTimeout))
+		var rf resultFrame
+		if readFrame(conn, &rf) == nil && rf.Job == job && rf.Err != "" {
+			return &rf, nil
+		}
 		return nil, err
 	}
 	conn.SetReadDeadline(time.Now().Add(resultTO))

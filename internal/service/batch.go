@@ -190,8 +190,6 @@ func (s *Server) MultiplyBatch(ctx context.Context, req *MultiplyBatchRequest) (
 	if len(req.Lanes) == 0 || req.Xhat == nil {
 		return nil, fmt.Errorf("%w: batch multiply needs lanes and Xhat", ErrInvalid)
 	}
-	opts := req.Options
-	opts.Engine = ""
 	var fp0 string
 	for l, lane := range req.Lanes {
 		if lane.A == nil || lane.B == nil {
@@ -201,7 +199,7 @@ func (s *Server) MultiplyBatch(ctx context.Context, req *MultiplyBatchRequest) (
 			return nil, fmt.Errorf("%w: lane %d: dimension mismatch %d/%d/%d",
 				ErrInvalid, l, n, lane.B.Support().N, req.Xhat.N)
 		}
-		fp, err := core.Fingerprint(lane.A.Support(), lane.B.Support(), req.Xhat, opts)
+		fp, err := core.Fingerprint(lane.A.Support(), lane.B.Support(), req.Xhat, req.Options)
 		if err != nil {
 			return nil, fmt.Errorf("%w: lane %d: %v", ErrInvalid, l, err)
 		}

@@ -29,13 +29,13 @@ func faultReq(r ring.Semiring, seed int64) (*MultiplyRequest, *matrix.Sparse) {
 	return &MultiplyRequest{A: a, B: b, Xhat: inst.Xhat, Options: core.Options{Ring: r}}, want
 }
 
-// TestServerFaultRetry: a fault on the first compiled attempt is retried
-// within the budget and the retry serves the correct product — no fallback.
+// TestServerFaultRetry: a fault on the first attempt is retried and the
+// retry serves the correct product.
 func TestServerFaultRetry(t *testing.T) {
 	srv := NewServer(Config{
 		CacheSize: 4,
-		FaultInjector: func(engine string, attempt int) lbm.Injector {
-			if engine == "compiled" && attempt == 0 {
+		FaultInjector: func(attempt int) lbm.Injector {
+			if attempt == 0 {
 				return dropAll()
 			}
 			return nil
@@ -50,56 +50,23 @@ func TestServerFaultRetry(t *testing.T) {
 		t.Error("retried request served a wrong product")
 	}
 	m := srv.Metrics()
-	if m[MetricFaults] != 1 || m[MetricRetries] != 1 || m[MetricFallbacks] != 0 {
-		t.Errorf("faults=%d retries=%d fallbacks=%d, want 1/1/0",
-			m[MetricFaults], m[MetricRetries], m[MetricFallbacks])
+	if m[MetricFaults] != 1 || m[MetricRetries] != 1 {
+		t.Errorf("faults=%d retries=%d, want 1/1", m[MetricFaults], m[MetricRetries])
 	}
 	if m[MetricServed] != 1 || m[MetricErrors] != 0 {
 		t.Errorf("served=%d errors=%d, want 1/0", m[MetricServed], m[MetricErrors])
 	}
 }
 
-// TestServerFaultFallback is the graceful-degradation acceptance check: when
-// the compiled engine faults on every attempt, the request is re-served on
-// the map engine, the product is still correct, and serve/fallbacks counts
-// the degradation.
-func TestServerFaultFallback(t *testing.T) {
-	srv := NewServer(Config{
-		CacheSize: 4,
-		FaultInjector: func(engine string, attempt int) lbm.Injector {
-			if engine == "compiled" {
-				return dropAll()
-			}
-			return nil
-		},
-	})
-	req, want := faultReq(ring.MinPlus{}, 7)
-	resp, err := srv.Multiply(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !matrix.Equal(resp.X, want) {
-		t.Error("fallback served a wrong product")
-	}
-	m := srv.Metrics()
-	// Default budget 1: two compiled attempts fault, one retry, one fallback.
-	if m[MetricFaults] != 2 || m[MetricRetries] != 1 || m[MetricFallbacks] != 1 {
-		t.Errorf("faults=%d retries=%d fallbacks=%d, want 2/1/1",
-			m[MetricFaults], m[MetricRetries], m[MetricFallbacks])
-	}
-	if m[MetricServed] != 1 || m[MetricErrors] != 0 {
-		t.Errorf("served=%d errors=%d, want 1/0", m[MetricServed], m[MetricErrors])
-	}
-}
-
-// TestServerFaultExhausted: when even the map fallback faults, the caller
-// gets the typed lbm.ErrFault with its provenance, counted as an error.
+// TestServerFaultExhausted: when every attempt faults, the caller gets the
+// typed lbm.ErrFault with its provenance after the one retry, counted as an
+// error.
 func TestServerFaultExhausted(t *testing.T) {
 	srv := NewServer(Config{
 		CacheSize:     4,
-		FaultInjector: func(string, int) lbm.Injector { return dropAll() },
+		FaultInjector: func(int) lbm.Injector { return dropAll() },
 	})
-	req, _ := faultReq(ring.Counting{}, 3)
+	req, _ := faultReq(ring.MinPlus{}, 3)
 	_, err := srv.Multiply(context.Background(), req)
 	f, ok := lbm.AsFault(err)
 	if !ok {
@@ -109,13 +76,12 @@ func TestServerFaultExhausted(t *testing.T) {
 		t.Errorf("fault lost provenance: %+v", f)
 	}
 	m := srv.Metrics()
-	if m[MetricFallbacks] != 1 || m[MetricErrors] != 1 || m[MetricServed] != 0 {
-		t.Errorf("fallbacks=%d errors=%d served=%d, want 1/1/0",
-			m[MetricFallbacks], m[MetricErrors], m[MetricServed])
+	// serve/faults counts every faulted attempt: the first and its retry.
+	if m[MetricFaults] != 2 || m[MetricRetries] != 1 {
+		t.Errorf("faults=%d retries=%d, want 2/1", m[MetricFaults], m[MetricRetries])
 	}
-	// serve/faults counts every faulted attempt: 2 compiled + 1 map.
-	if m[MetricFaults] != 3 {
-		t.Errorf("faults=%d, want 3", m[MetricFaults])
+	if m[MetricErrors] != 1 || m[MetricServed] != 0 {
+		t.Errorf("errors=%d served=%d, want 1/0", m[MetricErrors], m[MetricServed])
 	}
 }
 

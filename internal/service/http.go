@@ -181,36 +181,17 @@ func NewHandler(s *Server) http.Handler {
 }
 
 func handleMultiply(s *Server, w http.ResponseWriter, r *http.Request) {
-	var req wireMultiplyRequest
-	if err := decodeBody(r, &req); err != nil {
+	var wm wireMultiplyRequest
+	if err := decodeBody(r, &wm); err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	ringSR, err := resolveRing(req.Ring)
+	req, err := ParseWireMultiply(&wm)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	a, err := buildSparse(req.N, ringSR, req.A, "a")
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	b, err := buildSparse(req.N, ringSR, req.B, "b")
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	xhat, err := buildSupport(req.N, req.Xhat, "xhat")
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	resp, err := s.Multiply(r.Context(), &MultiplyRequest{
-		A: a, B: b, Xhat: xhat,
-		Options: core.Options{Ring: ringSR, D: req.D, Algorithm: req.Algorithm},
-		Trace:   req.Trace,
-	})
+	resp, err := s.Multiply(r.Context(), req)
 	if err != nil {
 		writeServeErr(w, err)
 		return
@@ -439,9 +420,8 @@ const statusClientClosedRequest = 499
 // writeServeErr maps server-side errors to status codes — the error
 // taxonomy of docs/SERVICE.md: invalid requests are 400 (retrying unchanged
 // cannot succeed), load shedding 503 (retryable), deadline expiry 504,
-// caller cancellation 499, a network fault that survived the retry and
-// fallback policy 500 with its round/node provenance in the body, anything
-// else 500.
+// caller cancellation 499, a network fault that survived the retry policy
+// 500 with its round/node provenance in the body, anything else 500.
 func writeServeErr(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrInvalid):

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"lbmm/internal/algo"
 	"lbmm/internal/batch"
 	"lbmm/internal/control"
 	"lbmm/internal/core"
@@ -46,17 +45,11 @@ type Config struct {
 	// deadline (default 30s). Plan execution itself is not preempted; the
 	// deadline is admission control, not a watchdog.
 	Deadline time.Duration
-	// FaultBudget is how many times an execution that fails with a typed
-	// network fault (lbm.ErrFault) is retried on the compiled engine before
-	// the request degrades to the map engine (default 1; negative disables
-	// retries). Non-fault errors are never retried.
-	FaultBudget int
 	// FaultInjector, when non-nil, supplies the fault injector for each
 	// execution attempt — the hook chaos drills use to exercise the retry
-	// and fallback paths on a live server. engine is "compiled" or "map";
-	// attempt counts from zero across one request. A nil return runs that
-	// attempt on a perfect network.
-	FaultInjector func(engine string, attempt int) lbm.Injector
+	// path on a live server. attempt counts from zero across one request. A
+	// nil return runs that attempt on a perfect network.
+	FaultInjector func(attempt int) lbm.Injector
 	// BatchSize enables dynamic batching when > 1: /v1/multiply requests
 	// sharing one plan fingerprint coalesce into lanes of a single batched
 	// run, at most BatchSize lanes per run (default 0: batching off).
@@ -114,11 +107,6 @@ func (c Config) withDefaults() Config {
 	if c.Deadline <= 0 {
 		c.Deadline = 30 * time.Second
 	}
-	if c.FaultBudget == 0 {
-		c.FaultBudget = 1
-	} else if c.FaultBudget < 0 {
-		c.FaultBudget = 0
-	}
 	if c.BatchAdaptive && c.BatchSize <= 1 {
 		c.BatchSize = 16
 	}
@@ -141,7 +129,6 @@ const (
 	MetricErrors           = "serve/errors"
 	MetricFaults           = "serve/faults"
 	MetricRetries          = "serve/retries"
-	MetricFallbacks        = "serve/fallbacks"
 	MetricQueueDepth       = "serve/queue_depth" // gauge
 	MetricActiveWorkers    = "serve/active"      // gauge
 	// MetricCompiles counts plans compiled from structure — misses of every
@@ -314,9 +301,9 @@ func (s *Server) release() {
 // quarantined by the store, and the request falls through to a compile
 // exactly as if the tier had missed.
 func (s *Server) prepared(ahat, bhat, xhat *matrix.Support, opts core.Options) (*core.Prepared, string, bool, error) {
-	// The serving layer always runs the default (compiled) engine; the
-	// fingerprint is engine-agnostic, so a cached plan must not inherit an
-	// engine override from whichever request compiled it first.
+	// Every cached plan is compiled-only; the fingerprint is
+	// engine-agnostic, so a plan must not inherit an engine override from
+	// whichever request compiled it first.
 	opts.Engine = ""
 	fp, err := core.Fingerprint(ahat, bhat, xhat, opts)
 	if err != nil {
@@ -377,60 +364,34 @@ type MultiplyResponse struct {
 	Profile *obsv.Export
 }
 
+// faultRetries is how many times an execution that fails with a typed
+// network fault (lbm.ErrFault) is retried before the fault reaches the
+// caller. Non-fault errors are never retried.
+const faultRetries = 1
+
 // runFaultPolicy drives one request (scalar or batched) through the
-// server's fault policy: up to FaultBudget retries on the compiled engine
-// when an attempt fails with a typed network fault (counted as
-// serve/retries), then one graceful degradation onto the map engine
-// (counted as serve/fallbacks). Non-fault errors return immediately; a
-// fault surviving even the fallback surfaces to the caller with its
-// provenance intact. run performs one attempt with the given options.
+// server's fault policy: an attempt that fails with a typed network fault
+// is retried up to faultRetries times on the same compiled plan (every
+// faulted attempt counts as serve/faults, every retry as serve/retries).
+// Non-fault errors return immediately; a fault that outlasts the retries
+// surfaces to the caller with its provenance intact. run performs one
+// attempt with the given options.
 func (s *Server) runFaultPolicy(trace bool, run func(core.ExecOpts) error) error {
-	attempt := 0
-	inject := func(engine string) lbm.Injector {
-		if s.cfg.FaultInjector == nil {
-			return nil
+	for attempt := 0; ; attempt++ {
+		opts := core.ExecOpts{Trace: trace}
+		if s.cfg.FaultInjector != nil {
+			opts.Injector = s.cfg.FaultInjector(attempt)
 		}
-		inj := s.cfg.FaultInjector(engine, attempt)
-		attempt++
-		return inj
-	}
-	var err error
-	for try := 0; try <= s.cfg.FaultBudget; try++ {
-		err = run(core.ExecOpts{
-			Trace:    trace,
-			Engine:   string(algo.EngineCompiled),
-			Injector: inject(string(algo.EngineCompiled)),
-		})
-		if err == nil {
-			return nil
-		}
-		if !lbm.IsFault(err) {
+		err := run(opts)
+		if err == nil || !lbm.IsFault(err) {
 			return err
 		}
 		s.metrics.Add(MetricFaults, 1)
-		if try < s.cfg.FaultBudget {
-			s.metrics.Add(MetricRetries, 1)
+		if attempt == faultRetries {
+			return err
 		}
+		s.metrics.Add(MetricRetries, 1)
 	}
-	s.metrics.Add(MetricFallbacks, 1)
-	faultErr := err
-	err = run(core.ExecOpts{
-		Trace:    trace,
-		Engine:   string(algo.EngineMap),
-		Injector: inject(string(algo.EngineMap)),
-	})
-	if errors.Is(err, algo.ErrNoMapForm) {
-		// The plan was restored from the persistent store, which carries
-		// only the compiled form — there is no map engine to degrade to.
-		// Surface the compiled fault with its provenance rather than the
-		// capability error: the caller's remedy (retry the request) is the
-		// same, and the fault is what actually happened.
-		return faultErr
-	}
-	if err != nil && lbm.IsFault(err) {
-		s.metrics.Add(MetricFaults, 1)
-	}
-	return err
 }
 
 // execute runs a prepared plan on one value set under the fault policy.
@@ -449,10 +410,9 @@ func (s *Server) execute(prep *core.Prepared, a, b *matrix.Sparse, trace bool) (
 }
 
 // executeBatch runs a prepared plan on k value sets as one batched run
-// under the same fault policy. A fault fails (and retries, and finally
-// degrades) the whole batch: lanes share every round, so there is no
-// per-lane partial success — the caller fans the one outcome out to every
-// lane.
+// under the same fault policy. A fault fails (and retries) the whole batch:
+// lanes share every round, so there is no per-lane partial success — the
+// caller fans the one outcome out to every lane.
 func (s *Server) executeBatch(prep *core.Prepared, as, bs []*matrix.Sparse, trace bool) ([]*matrix.Sparse, *core.Report, error) {
 	var outs []*matrix.Sparse
 	var rep *core.Report

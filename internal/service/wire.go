@@ -25,8 +25,9 @@ type (
 )
 
 // ParseWireMultiply builds the in-memory request from its wire payload,
-// validating dimension bounds and indices exactly like the HTTP handler.
-// Errors are the caller's fault (map to ErrInvalid semantics).
+// validating dimension bounds and indices. POST /v1/multiply and the stream
+// layer both parse through it. Errors are the caller's fault (map to
+// ErrInvalid semantics).
 func ParseWireMultiply(wm *WireMultiply) (*MultiplyRequest, error) {
 	ringSR, err := resolveRing(wm.Ring)
 	if err != nil {

@@ -158,9 +158,9 @@ func Blocks(n, d int) *graph.Instance {
 	return graph.NewInstance(d, s, s, s)
 }
 
-// BlocksShifted is Blocks with the B support's blocks shifted by one block
-// position, breaking the perfect alignment: triangles only form where
-// shifted blocks overlap, exercising partial clustering.
+// BlocksShifted is Blocks with the B support's blocks shifted one column
+// to the right (wrapping), breaking the perfect alignment: triangles only
+// form where shifted blocks overlap, exercising partial clustering.
 func BlocksShifted(n, d int) *graph.Instance {
 	mk := func(off int) *matrix.Support {
 		var es [][2]int
@@ -173,7 +173,7 @@ func BlocksShifted(n, d int) *graph.Instance {
 		}
 		return matrix.NewSupport(n, es)
 	}
-	return graph.NewInstance(d, mk(0), mk(0), mk(0))
+	return graph.NewInstance(d, mk(0), mk(1), mk(0))
 }
 
 // HotPair returns the skewed instance separating Lemma 3.1 from the naive

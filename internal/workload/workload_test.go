@@ -5,7 +5,10 @@ import (
 	"strings"
 	"testing"
 
+	"lbmm/internal/core"
+	"lbmm/internal/graph"
 	"lbmm/internal/matrix"
+	"lbmm/internal/ring"
 )
 
 func TestGeneratorsRealizeTheirClasses(t *testing.T) {
@@ -106,9 +109,26 @@ func TestBlocksExtremal(t *testing.T) {
 	if !inst.Ahat.IsUS(d) {
 		t.Error("blocks not US(d)")
 	}
-	sh := BlocksShifted(n, d)
-	if sh.CountTriangles() == 0 {
-		t.Error("shifted blocks have no triangles")
+}
+
+// TestBlocksShiftedDiffersFromBlocks: the shifted instance is a distinct
+// structure — its own plan fingerprint, and fewer triangles than the
+// perfectly aligned blocks — so a cache keyed on structure misses on it.
+func TestBlocksShiftedDiffersFromBlocks(t *testing.T) {
+	n, d := 64, 4
+	bl, sh := Blocks(n, d), BlocksShifted(n, d)
+	if got, full := sh.CountTriangles(), bl.CountTriangles(); got == 0 || got >= full {
+		t.Errorf("shifted blocks have %d triangles, want between 1 and %d", got, full-1)
+	}
+	fp := func(inst *graph.Instance) string {
+		s, err := core.Fingerprint(inst.Ahat, inst.Bhat, inst.Xhat, core.Options{Ring: ring.Counting{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	if fp(bl) == fp(sh) {
+		t.Error("BlocksShifted has the same fingerprint as Blocks")
 	}
 }
 
