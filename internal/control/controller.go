@@ -42,7 +42,8 @@ const (
 // default.
 type Config struct {
 	// MaxBatch is the lane cap a hot key grows toward (default 16 — the
-	// measured per-lane throughput sweet spot, BENCH_PR5.json).
+	// measured per-lane throughput sweet spot, BenchmarkMultiplyBatch in
+	// internal/core).
 	MaxBatch int
 	// MaxDelay is the ceiling on any coalesce window (default 2ms).
 	MaxDelay time.Duration

@@ -253,18 +253,11 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 }
 
 // NewLocalMesh builds a fully connected W-participant mesh over localhost
-// TCP inside one process: real sockets, real frames, no worker processes.
-// It is the backend of `lbmm benchpr8`, the chaos differential's transport
-// axis, and the package tests. The returned stop function closes every
+// TCP inside one process: real sockets, real frames, no worker processes,
+// modulo node ownership. It is the chaos differential's transport axis and
+// the backend of the package tests. The returned stop function closes every
 // connection.
 func NewLocalMesh(workers int) ([]*Mesh, func(), error) {
-	return NewLocalMeshTable(workers, nil)
-}
-
-// NewLocalMeshTable is NewLocalMesh with an explicit node→rank assignment
-// table shared by every endpoint (nil for the modulo map) — the backend of
-// `lbmm benchpr9`'s partition comparison.
-func NewLocalMeshTable(workers int, table []uint16) ([]*Mesh, func(), error) {
 	if workers < 2 {
 		return nil, nil, fmt.Errorf("dist: a local mesh needs at least 2 participants, got %d", workers)
 	}
@@ -316,7 +309,7 @@ func NewLocalMeshTable(workers int, table []uint16) ([]*Mesh, func(), error) {
 	}
 	meshes := make([]*Mesh, workers)
 	for rk := 0; rk < workers; rk++ {
-		m, err := NewMesh(Partition{Workers: workers, Rank: rk, Table: table}, conns[rk], nil)
+		m, err := NewMesh(Partition{Workers: workers, Rank: rk}, conns[rk], nil)
 		if err != nil {
 			stop()
 			return nil, nil, err

@@ -66,6 +66,10 @@ type Frame struct {
 	Report      *service.WireReport   `json:"report,omitempty"`
 	Code        int                   `json:"code,omitempty"`
 	Error       string                `json:"error,omitempty"`
+
+	// release marks an accepted lane's outcome: the writer frees the lane's
+	// inflight slot just before encoding it. Never on the wire.
+	release bool
 }
 
 // Counter names published by the streaming layer (gauges noted).

@@ -227,17 +227,21 @@ func (s *session) submit(srv *service.Server, f Frame) {
 	id := f.ID
 	s.inflight.Add(1)
 	s.wg.Add(1)
+	// The deliver callback does not free the lane's slot itself: the writer
+	// does, just before the outcome reaches the wire (release). Freed any
+	// later, a client that submits on seeing the result could race the
+	// decrement into a spurious 429; freed any earlier, queued results
+	// would no longer be bounded by MaxInflight, which sizes the outbox.
 	err = srv.MultiplySubmit(s.ctx, req, func(resp *service.MultiplyResponse, err error) {
 		defer s.wg.Done()
-		defer s.inflight.Add(-1)
 		if err != nil {
 			s.metrics.Add(MetricErrors, 1)
-			s.send(Frame{Type: TypeError, ID: id, Ticket: t, Code: service.ErrStatus(err), Error: err.Error()})
+			s.send(Frame{Type: TypeError, ID: id, Ticket: t, Code: service.ErrStatus(err), Error: err.Error(), release: true})
 			return
 		}
 		rep := service.BuildWireReport(resp)
 		s.metrics.Add(MetricResults, 1)
-		s.send(Frame{Type: TypeResult, ID: id, Ticket: t, X: service.WireEntries(resp.X), Report: &rep})
+		s.send(Frame{Type: TypeResult, ID: id, Ticket: t, X: service.WireEntries(resp.X), Report: &rep, release: true})
 	})
 	if err != nil {
 		// Rejected synchronously: the deliver callback will never run.
@@ -268,6 +272,12 @@ func (s *session) send(f Frame) {
 func (s *session) writer(w http.ResponseWriter, rc *http.ResponseController, done chan<- struct{}) {
 	defer close(done)
 	enc := json.NewEncoder(w)
+	encode := func(f Frame) error {
+		if f.release {
+			s.inflight.Add(-1)
+		}
+		return enc.Encode(f)
+	}
 	fail := func() {
 		s.cancel()
 		for range s.out { // drain so enqueuers never block on a dead writer
@@ -275,7 +285,7 @@ func (s *session) writer(w http.ResponseWriter, rc *http.ResponseController, don
 	}
 	for f := range s.out {
 		_ = rc.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		if err := enc.Encode(f); err != nil {
+		if err := encode(f); err != nil {
 			fail()
 			return
 		}
@@ -289,7 +299,7 @@ func (s *session) writer(w http.ResponseWriter, rc *http.ResponseController, don
 					_ = rc.Flush()
 					return
 				}
-				if err := enc.Encode(f); err != nil {
+				if err := encode(f); err != nil {
 					fail()
 					return
 				}

@@ -408,6 +408,55 @@ func TestStreamStickySupportSurvivesBackpressure(t *testing.T) {
 	}
 }
 
+// TestStreamLockStepNeverBackpressured pins when a lane's inflight slot is
+// freed: before its result frame reaches the wire. A client that submits the
+// next lane only after seeing the previous result must never be refused, even
+// at MaxInflight 1 — a slot freed after the result is written races that
+// submit and answers it with a spurious 429.
+func TestStreamLockStepNeverBackpressured(t *testing.T) {
+	ms := obsv.NewCounterSet()
+	srv, ts := newStreamServer(t, service.Config{Metrics: ms}, Config{MaxInflight: 1, Metrics: ms})
+
+	r := ring.Counting{}
+	inst := workload.Blocks(8, 2)
+	wm := &service.WireMultiply{
+		N: inst.N, Ring: "counting",
+		A:    service.WireEntries(matrix.Random(inst.Ahat, r, 1)),
+		B:    service.WireEntries(matrix.Random(inst.Bhat, r, 2)),
+		Xhat: supportPositions(inst.Xhat),
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	c, err := Dial(ctx, ts.URL, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	// The race window is narrow and load-dependent: with the slot freed
+	// after the result was queued, runs on a 2-vCPU box refused anywhere
+	// from none to a few hundred of these submits.
+	const lanes = 2000
+	refused := 0
+	for i := 0; i < lanes; i++ {
+		call, err := c.Submit(fmt.Sprintf("lane-%d", i), wm)
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		f, err := call.Wait(ctx)
+		if err != nil {
+			t.Fatalf("lane %d: %v", i, err)
+		}
+		if f.Type != TypeResult {
+			refused++
+		}
+	}
+	if refused != 0 {
+		t.Errorf("%d of %d lock-step submits got a non-result frame (backpressure %d)",
+			refused, lanes, srv.Metrics()[MetricBackpressure])
+	}
+}
+
 // TestStreamHelloTimeout pins the silent-peer reap: a client that connects
 // and never sends its hello is answered and torn down by HelloTimeout
 // instead of pinning the handler and writer goroutines on an
