@@ -47,19 +47,15 @@ type compiledPrepared struct {
 	few          *fewtri.CompiledJob
 	bytes        int64
 	r            ring.Semiring
-	pool         sync.Pool
-	// lanePools holds one executor pool per batched lane count (lanes > 1):
-	// arenas are sized slots×lanes, so executors only recycle within their
-	// own lane count. Key int → value *sync.Pool of *lbm.Exec.
+	// lanePools holds one executor pool per lane count: arenas are sized
+	// slots×lanes, so executors only recycle within their own lane count.
+	// Key int → value *sync.Pool of *lbm.Exec.
 	lanePools sync.Map
 }
 
 // execFor returns a pooled executor carrying the given lane count, plus the
 // pool to return it to after Reset.
 func (cp *compiledPrepared) execFor(lanes int) (*lbm.Exec, *sync.Pool) {
-	if lanes <= 1 {
-		return cp.pool.Get().(*lbm.Exec), &cp.pool
-	}
 	pi, ok := cp.lanePools.Load(lanes)
 	if !ok {
 		sizes, r := cp.sizes, cp.r
@@ -123,7 +119,7 @@ func compilePrepared(p *Prepared) (*compiledPrepared, error) {
 
 // finish completes a compiled form whose instruction state is in place —
 // whether freshly lowered or decoded from a serialized snapshot: it prices
-// the resident size and arms the executor pool for the given ring.
+// the resident size and binds the ring the executor pools build arenas for.
 func (cp *compiledPrepared) finish(r ring.Semiring) {
 	cp.bytes = int64(len(cp.loadA)+len(cp.loadB)+len(cp.x)) * 16
 	cp.bytes += int64(len(cp.stagingClear)) * 8
@@ -134,9 +130,7 @@ func (cp *compiledPrepared) finish(r ring.Semiring) {
 	for _, sz := range cp.sizes {
 		cp.bytes += int64(sz) * 12 // arena value + epoch stamp
 	}
-	sizes := cp.sizes
 	cp.r = r
-	cp.pool.New = func() any { return lbm.NewExec(sizes, r) }
 }
 
 // CompiledBytes reports the estimated resident size of the compiled form
@@ -170,24 +164,28 @@ func (p *Prepared) NodeLoads() (send, recv []int64) {
 	return send, recv
 }
 
-// multiplyCompiled is MultiplyWith on the compiled engine.
-func (p *Prepared) multiplyCompiled(a, b *matrix.Sparse, mopts ...lbm.Option) (*matrix.Sparse, *Result, error) {
+// walk runs the compiled engine: one executor whose arenas carry one lane
+// per value set, loaded slot by slot and walked once, so every instruction
+// pays its presence check, decode and stats update once for all lanes. A
+// scalar multiply is the one-lane walk. The Result leaves Lanes to the
+// caller.
+func (p *Prepared) walk(as, bs []*matrix.Sparse, mopts ...lbm.Option) ([]*matrix.Sparse, *Result, error) {
 	cp := p.compiled
-	x := cp.pool.Get().(*lbm.Exec)
+	K := len(as)
+	x, pool := cp.execFor(K)
 	x.Configure(mopts...)
 	defer func() {
 		x.Reset()
-		cp.pool.Put(x)
+		pool.Put(x)
 	}()
-	for _, lr := range cp.loadA {
-		x.PutSlot(lr.ref, a.Get(int(lr.i), int(lr.j)))
-	}
-	for _, lr := range cp.loadB {
-		x.PutSlot(lr.ref, b.Get(int(lr.i), int(lr.j)))
-	}
 	zero := p.R.Zero()
+	load(x, cp.loadA, as, zero)
+	load(x, cp.loadB, bs, zero)
 	for _, lr := range cp.x {
-		x.PutSlot(lr.ref, zero)
+		dst := x.FillLanes(lr.ref)
+		for l := range dst {
+			dst[l] = zero
+		}
 	}
 	for _, cb := range cp.phase1 {
 		if err := cb.Run(x); err != nil {
@@ -201,18 +199,27 @@ func (p *Prepared) multiplyCompiled(a, b *matrix.Sparse, mopts ...lbm.Option) (*
 	if err := fewtri.RunCompiled(x, cp.few); err != nil {
 		return nil, nil, err
 	}
-	out := matrix.NewSparse(p.Inst.Xhat.N, p.R)
+	outs := make([]*matrix.Sparse, K)
+	for l := range outs {
+		outs[l] = matrix.NewSparse(p.Inst.Xhat.N, p.R)
+	}
 	for _, lr := range cp.x {
 		if !x.Owns(lr.ref.Node) {
 			// A partitioned run collects each output at the participant that
 			// owns it; the coordinator merges the disjoint partials.
 			continue
 		}
-		v, ok := x.GetSlot(lr.ref)
-		if !ok {
+		if _, ok := x.GetLane(lr.ref, 0); !ok {
 			return nil, nil, fmt.Errorf("lbm: owner of X(%d,%d) never received it", lr.i, lr.j)
 		}
-		out.Set(int(lr.i), int(lr.j), v)
+		// cp.x is row-major sorted, so appending keeps the row invariant;
+		// ring zeros are skipped exactly as Sparse.Set drops them.
+		for l, v := range x.MustLanes(lr.ref) {
+			if p.R.Eq(v, zero) {
+				continue
+			}
+			outs[l].Rows[lr.i] = append(outs[l].Rows[lr.i], matrix.Cell{Col: lr.j, Val: v})
+		}
 	}
 	res := p.meta
 	res.Engine = string(EngineCompiled)
@@ -224,5 +231,34 @@ func (p *Prepared) multiplyCompiled(a, b *matrix.Sparse, mopts ...lbm.Option) (*
 	if tr := x.Trace(); tr != nil {
 		res.Timeline = tr.Timeline()
 	}
-	return out, &res, nil
+	return outs, &res, nil
+}
+
+// load writes one operand's lanes into its slots, slot by slot. The refs
+// are in row-major order and within() pinned every lane's entries inside
+// the support, so one cursor per lane merge-walks each row; support
+// positions a lane leaves absent load as the ring zero.
+func load(x *lbm.Exec, refs []loadRef, ms []*matrix.Sparse, zero ring.Value) {
+	cur := make([][]matrix.Cell, len(ms)) // per lane: the row's cells not yet loaded
+	skip := make([]ring.Value, len(ms))   // sink for slots another participant owns
+	row := int32(-1)
+	for _, lr := range refs {
+		if lr.i != row {
+			row = lr.i
+			for l, m := range ms {
+				cur[l] = m.Rows[row]
+			}
+		}
+		dst := x.FillLanes(lr.ref)
+		if dst == nil {
+			dst = skip
+		}
+		for l, cells := range cur {
+			if len(cells) > 0 && cells[0].Col == lr.j {
+				dst[l], cur[l] = cells[0].Val, cells[1:]
+			} else {
+				dst[l] = zero
+			}
+		}
+	}
 }

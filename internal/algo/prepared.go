@@ -184,7 +184,11 @@ func (p *Prepared) MultiplyOn(e Engine, a, b *matrix.Sparse, mopts ...lbm.Option
 		return nil, nil, fmt.Errorf("algo: B %w", err)
 	}
 	if e == EngineCompiled && p.compiled != nil {
-		return p.multiplyCompiled(a, b, mopts...)
+		outs, res, err := p.walk([]*matrix.Sparse{a}, []*matrix.Sparse{b}, mopts...)
+		if err != nil {
+			return nil, nil, err
+		}
+		return outs[0], res, nil
 	}
 	if p.fewtri == nil {
 		// Compiled-only: restored from a snapshot, or the map-engine

@@ -107,9 +107,9 @@ func runCompiled(t *testing.T, p *Plan, loads []load, r ring.Semiring, opts ...O
 	if err := cp.Validate(); err != nil {
 		t.Fatalf("validate: %v", err)
 	}
-	x := NewExec(sp.Sizes(), r, opts...)
+	x := NewExecBatch(sp.Sizes(), 1, r, opts...)
 	for _, l := range loads {
-		x.PutSlot(sp.Ref(l.node, l.key), l.val)
+		x.PutLane(sp.Ref(l.node, l.key), 0, l.val)
 	}
 	return sp, x, x.Run(cp)
 }
@@ -120,7 +120,7 @@ func compareStores(t *testing.T, sp *SlotSpace, m *Machine, x *Exec) {
 	t.Helper()
 	sp.EachKey(func(node NodeID, k Key, slot int32) {
 		mv, mok := m.Get(node, k)
-		xv, xok := x.GetSlot(SlotRef{Node: node, Slot: slot})
+		xv, xok := x.GetLane(SlotRef{Node: node, Slot: slot}, 0)
 		if mok != xok || mv != xv {
 			t.Errorf("node %d key %v: map (%v,%v) vs compiled (%v,%v)", node, k, mv, mok, xv, xok)
 		}
@@ -197,7 +197,7 @@ func TestCompiledStoreLimitParity(t *testing.T) {
 	if x.Stats().Rounds != 1 {
 		t.Errorf("failed round must not count: %+v", x.Stats())
 	}
-	if _, ok := x.GetSlot(sp.Ref(2, TKey(0, 0, 1))); ok {
+	if _, ok := x.GetLane(sp.Ref(2, TKey(0, 0, 1)), 0); ok {
 		t.Error("failed round must deliver nothing")
 	}
 }
@@ -219,7 +219,7 @@ func TestCompiledAccumulateOverwrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := x.GetSlot(sp.Ref(2, dst)); v != 60 {
+	if v, _ := x.GetLane(sp.Ref(2, dst), 0); v != 60 {
 		t.Errorf("value = %v, want 60", v)
 	}
 	// OpSub without a field is rejected before any round runs.
@@ -228,7 +228,7 @@ func TestCompiledAccumulateOverwrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xc := NewExec(spc.Sizes(), ring.Counting{})
+	xc := NewExecBatch(spc.Sizes(), 1, ring.Counting{})
 	if err := xc.Run(cp); err == nil || !strings.Contains(err.Error(), "field") {
 		t.Errorf("OpSub on a semiring must fail: %v", err)
 	}
@@ -248,12 +248,12 @@ func TestCompiledResetReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := NewExec(sp.Sizes(), ring.Counting{})
+	x := NewExecBatch(sp.Sizes(), 1, ring.Counting{})
 	var firstStats Stats
 	first := map[SlotRef]ring.Value{}
 	for run := 0; run < 3; run++ {
 		for _, l := range loads {
-			x.PutSlot(sp.Ref(l.node, l.key), l.val)
+			x.PutLane(sp.Ref(l.node, l.key), 0, l.val)
 		}
 		if err := x.Run(cp); err != nil {
 			t.Fatalf("run %d: %v", run, err)
@@ -261,7 +261,7 @@ func TestCompiledResetReuse(t *testing.T) {
 		if run == 0 {
 			firstStats = x.Stats()
 			sp.EachKey(func(node NodeID, k Key, slot int32) {
-				if v, ok := x.GetSlot(SlotRef{Node: node, Slot: slot}); ok {
+				if v, ok := x.GetLane(SlotRef{Node: node, Slot: slot}, 0); ok {
 					first[SlotRef{Node: node, Slot: slot}] = v
 				}
 			})
@@ -272,7 +272,7 @@ func TestCompiledResetReuse(t *testing.T) {
 			count := 0
 			sp.EachKey(func(node NodeID, k Key, slot int32) {
 				ref := SlotRef{Node: node, Slot: slot}
-				v, ok := x.GetSlot(ref)
+				v, ok := x.GetLane(ref, 0)
 				want, wok := first[ref]
 				if ok != wok || v != want {
 					t.Errorf("run %d: %v = (%v,%v), want (%v,%v)", run, ref, v, ok, want, wok)
@@ -291,7 +291,7 @@ func TestCompiledResetReuse(t *testing.T) {
 		}
 		empty := true
 		sp.EachKey(func(node NodeID, k Key, slot int32) {
-			if _, ok := x.GetSlot(SlotRef{Node: node, Slot: slot}); ok {
+			if _, ok := x.GetLane(SlotRef{Node: node, Slot: slot}, 0); ok {
 				empty = false
 			}
 		})
@@ -337,10 +337,10 @@ func TestCompiledPlanGobRoundtrip(t *testing.T) {
 		return -1, false
 	}
 	var used []load
-	x := NewExec(back.NumSlots, ring.Counting{})
+	x := NewExecBatch(back.NumSlots, 1, ring.Counting{})
 	for _, l := range loads {
 		if s, ok := slotOf(l.node, l.key); ok {
-			x.PutSlot(SlotRef{Node: l.node, Slot: s}, l.val)
+			x.PutLane(SlotRef{Node: l.node, Slot: s}, 0, l.val)
 			used = append(used, l)
 		}
 	}

@@ -58,17 +58,12 @@ type Exec struct {
 	payload []ring.Value // gather scratch, reused across rounds
 }
 
-// NewExec returns a single-lane executor with the given per-node arena
-// sizes over ring r. Machine options (WithWorkers, WithStoreLimit,
-// WithCollector, WithTrace) apply with identical meaning.
-func NewExec(sizes []int32, r ring.Semiring, opts ...Option) *Exec {
-	return NewExecBatch(sizes, 1, r, opts...)
-}
-
 // NewExecBatch returns an executor whose every slot holds lanes values —
 // one per value-assignment of a batched run. One Run walks the instruction
 // stream once and moves all lanes; lane l of the arenas is loaded and read
-// through PutLane/GetLane. lanes < 1 is treated as 1.
+// through PutLane/GetLane. lanes < 1 is treated as 1. Machine options
+// (WithWorkers, WithStoreLimit, WithCollector, WithTrace) apply with
+// identical meaning.
 func NewExecBatch(sizes []int32, lanes int, r ring.Semiring, opts ...Option) *Exec {
 	if lanes < 1 {
 		lanes = 1
@@ -105,7 +100,7 @@ func NewExecBatch(sizes []int32, lanes int, r ring.Semiring, opts ...Option) *Ex
 	return x
 }
 
-// Lanes returns the number of values each slot holds (1 for NewExec).
+// Lanes returns the number of values each slot holds (1 for a single-lane executor).
 func (x *Exec) Lanes() int { return x.lanes }
 
 // Configure re-applies Machine options to a (typically pooled) executor
@@ -214,10 +209,6 @@ func (x *Exec) markPresent(node int32, slot int32) {
 	}
 }
 
-// GetSlot reads the lane-0 value at a slot, reporting presence. On a
-// multi-lane executor use GetLane for the other lanes.
-func (x *Exec) GetSlot(r SlotRef) (ring.Value, bool) { return x.GetLane(r, 0) }
-
 // GetLane reads the value of one lane of a slot, reporting presence (which
 // is per-slot: every lane realizes the same structure).
 func (x *Exec) GetLane(r SlotRef, lane int) (ring.Value, bool) {
@@ -239,9 +230,6 @@ func (x *Exec) MustGetLane(r SlotRef, lane int) ring.Value {
 	return x.arena[r.Node][int(r.Slot)*x.lanes+lane]
 }
 
-// PutSlot stores a lane-0 value at a slot (free local computation).
-func (x *Exec) PutSlot(r SlotRef, v ring.Value) { x.PutLane(r, 0, v) }
-
 // PutLane stores one lane of a slot. Loading a multi-lane executor must put
 // every lane of a slot: presence is per-slot, so a partially loaded slot
 // would expose stale values on its unwritten lanes. Under a transport,
@@ -254,15 +242,19 @@ func (x *Exec) PutLane(r SlotRef, lane int, v ring.Value) {
 	x.markPresent(int32(r.Node), r.Slot)
 }
 
-// PutLanes stores every lane of a slot at once (len(vs) = Lanes), with one
-// presence update — the bulk form of PutLane for batched loading.
-func (x *Exec) PutLanes(r SlotRef, vs []ring.Value) {
+// FillLanes marks a slot present and returns its lane values for the
+// caller to write — the bulk form of PutLane for batched loading, with one
+// presence update per slot. The caller must write every lane: presence is
+// per-slot, so an unwritten lane would expose a stale value. Under a
+// transport a non-owned slot returns nil (see Machine.Put). The slice
+// aliases the arena; callers do not keep it past the load.
+func (x *Exec) FillLanes(r SlotRef) []ring.Value {
 	if x.transport != nil && !x.transport.Owns(r.Node) {
-		return
+		return nil
 	}
-	i := int(r.Slot) * x.lanes
-	copy(x.arena[r.Node][i:i+x.lanes], vs)
 	x.markPresent(int32(r.Node), r.Slot)
+	i := int(r.Slot) * x.lanes
+	return x.arena[r.Node][i : i+x.lanes]
 }
 
 // AccSlot adds v into the slot's lane-0 value (missing reads as the ring

@@ -76,11 +76,11 @@ func runFaultPlanCompiled(inj Injector) error {
 	if inj != nil {
 		opts = append(opts, WithInjector(inj))
 	}
-	x := NewExec(cp.NumSlots, ring.Counting{}, opts...)
+	x := NewExecBatch(cp.NumSlots, 1, ring.Counting{}, opts...)
 	loadFaultTestInputs(func(node NodeID, k Key, v ring.Value) {
 		for slot, key := range cp.Keys[node] {
 			if key == k {
-				x.PutSlot(SlotRef{Node: node, Slot: int32(slot)}, v)
+				x.PutLane(SlotRef{Node: node, Slot: int32(slot)}, 0, v)
 				return
 			}
 		}

@@ -67,8 +67,8 @@ func TestLoopbackParityExec(t *testing.T) {
 			t.Fatalf("trial %d: loopback: %v", trial, err)
 		}
 		sp.EachKey(func(node NodeID, k Key, slot int32) {
-			rv, rok := ref.GetSlot(SlotRef{Node: node, Slot: slot})
-			lv, lok := lb.GetSlot(SlotRef{Node: node, Slot: slot})
+			rv, rok := ref.GetLane(SlotRef{Node: node, Slot: slot}, 0)
+			lv, lok := lb.GetLane(SlotRef{Node: node, Slot: slot}, 0)
 			if rok != lok || rv != lv {
 				t.Errorf("trial %d node %d key %v: nil (%v,%v) vs loopback (%v,%v)", trial, node, k, rv, rok, lv, lok)
 			}

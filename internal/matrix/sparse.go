@@ -84,6 +84,27 @@ func (m *Sparse) Support() *Support {
 	return NewSupport(m.N, entries)
 }
 
+// SameStructure reports whether a and b store entries at exactly the same
+// positions, values aside: whether their Supports are equal, decided
+// without building either.
+func SameStructure(a, b *Sparse) bool {
+	if a.N != b.N || len(a.Rows) != len(b.Rows) {
+		return false
+	}
+	for i, ra := range a.Rows {
+		rb := b.Rows[i]
+		if len(ra) != len(rb) {
+			return false
+		}
+		for k := range ra {
+			if ra[k].Col != rb[k].Col {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // Clone returns a deep copy of the matrix.
 func (m *Sparse) Clone() *Sparse {
 	c := NewSparse(m.N, m.R)

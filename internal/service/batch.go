@@ -2,99 +2,93 @@ package service
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"time"
 
 	"lbmm/internal/batch"
 	"lbmm/internal/core"
+	"lbmm/internal/lbm"
 	"lbmm/internal/matrix"
 	"lbmm/internal/obsv"
 )
 
-// batchLane is one request parked in the coalescer: its values, what it
-// asked for, and how its outcome goes back. A synchronous caller
-// (multiplyCoalesced) waits on done (buffered so the batch runner never
-// blocks on a caller that already gave up); a streamed lane carries a
-// deliver callback instead — no goroutine parks for it, the batch runner
-// invokes deliver with the finished response.
-type batchLane struct {
+// lane is one value set on its way through the server: its operands, the
+// plan it runs on, and the callback its outcome is handed to. Multiply,
+// MultiplySubmit, MultiplyBatch and the coalescer all move lanes, and
+// runLanes is the one place lanes execute.
+type lane struct {
 	prep     *core.Prepared
+	fp       string
+	hit      bool
 	a, b     *matrix.Sparse
 	trace    bool
 	enqueued time.Time
-	done     chan laneOut
-	fp       string
-	hit      bool
 	deliver  func(*MultiplyResponse, error)
 }
 
-// laneOut is one lane's share of a batch outcome. rep and profile are
-// shared across the batch's lanes (the batch really did execute once);
-// they are read-only after fan-out.
-type laneOut struct {
-	x       *matrix.Sparse
-	rep     *core.Report
-	profile *obsv.Export
-	err     error
-}
+// faultRetries is how many times an execution that fails with a typed
+// network fault (lbm.ErrFault) is retried before the fault reaches the
+// caller. Non-fault errors are never retried.
+const faultRetries = 1
 
-// multiplyCoalesced is Multiply's batched tail: park the request in the
-// coalescer keyed by its plan fingerprint and wait for the batch outcome.
-// The caller's worker slot is released while parked — the launched batch
-// takes one slot for the whole group in runBatch, so k coalesced lanes
-// cost one worker, not k.
-func (s *Server) multiplyCoalesced(ctx context.Context, req *MultiplyRequest, prep *core.Prepared, fp string, hit bool, release func()) (*MultiplyResponse, error) {
-	lane := &batchLane{
-		prep:     prep,
-		a:        req.A,
-		b:        req.B,
-		trace:    req.Trace,
-		enqueued: time.Now(),
-		done:     make(chan laneOut, 1),
+// runLanes executes a group of lanes sharing one plan as one batched run
+// under the fault policy, then hands every lane its outcome; serve/served
+// and serve/errors are counted here, once per lane. An attempt that fails
+// with a typed network fault is retried up to faultRetries times on the
+// same plan (every faulted attempt counts as serve/faults, every retry as
+// serve/retries). Lanes share every round, so a fault fails and retries
+// the whole group; a fault that outlasts the retries reaches every lane
+// with its provenance intact.
+func (s *Server) runLanes(lanes []*lane) {
+	as := make([]*matrix.Sparse, len(lanes))
+	bs := make([]*matrix.Sparse, len(lanes))
+	var opts core.ExecOpts
+	for i, ln := range lanes {
+		as[i], bs[i] = ln.a, ln.b
+		opts.Trace = opts.Trace || ln.trace
 	}
-	err := s.coal.Submit(fp, lane)
-	release()
+	var outs []*matrix.Sparse
+	var rep *core.Report
+	var err error
+	for attempt := 0; ; attempt++ {
+		if s.cfg.FaultInjector != nil {
+			opts.Injector = s.cfg.FaultInjector(attempt)
+		}
+		outs, rep, err = lanes[0].prep.MultiplyBatch(as, bs, opts)
+		if err == nil || !lbm.IsFault(err) {
+			break
+		}
+		s.metrics.Add(MetricFaults, 1)
+		if attempt == faultRetries {
+			break
+		}
+		s.metrics.Add(MetricRetries, 1)
+	}
 	if err != nil {
-		// Only Close makes Submit fail: the server is draining, which to the
-		// caller is indistinguishable from load shedding.
-		s.metrics.Add(MetricShed, 1)
-		return nil, ErrOverloaded
+		s.metrics.Add(MetricErrors, int64(len(lanes)))
+		for _, ln := range lanes {
+			ln.deliver(nil, err)
+		}
+		return
 	}
-	if _, has := ctx.Deadline(); !has {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.Deadline)
-		defer cancel()
+	// The report and profile are shared across the group (it really did
+	// execute once); they are read-only after delivery.
+	var profile *obsv.Export
+	if rep.Profile != nil {
+		profile = rep.Profile.Export()
 	}
-	select {
-	case out := <-lane.done:
-		if out.err != nil {
-			s.metrics.Add(MetricErrors, 1)
-			return nil, out.err
+	s.metrics.Add(MetricServed, int64(len(lanes)))
+	for i, ln := range lanes {
+		resp := &MultiplyResponse{X: outs[i], Report: rep, Fingerprint: ln.fp, CacheHit: ln.hit}
+		if ln.trace {
+			resp.Profile = profile
 		}
-		resp := &MultiplyResponse{X: out.x, Report: out.rep, Fingerprint: fp, CacheHit: hit}
-		if req.Trace {
-			resp.Profile = out.profile
-		}
-		s.metrics.Add(MetricServed, 1)
-		return resp, nil
-	case <-ctx.Done():
-		// The batch still runs and fans out to the buffered channel; this
-		// caller just stops waiting.
-		if errors.Is(ctx.Err(), context.Canceled) {
-			s.metrics.Add(MetricCanceled, 1)
-		} else {
-			s.metrics.Add(MetricDeadlineExceeded, 1)
-		}
-		return nil, ctx.Err()
+		ln.deliver(resp, nil)
 	}
 }
 
-// runBatch executes one launched group: take a single worker slot, run the
-// lanes as one batched multiply under the fault policy, fan the outcome to
-// every lane. It is the coalescer's run callback and always runs on its
-// own goroutine.
-func (s *Server) runBatch(fp string, lanes []*batchLane, why batch.Reason) {
+// runBatch executes one launched group on a single worker slot. It is the
+// coalescer's run callback and always runs on its own goroutine.
+func (s *Server) runBatch(fp string, lanes []*lane, why batch.Reason) {
 	now := time.Now()
 	for _, ln := range lanes {
 		s.metrics.Add(MetricBatchWaitNs, now.Sub(ln.enqueued).Nanoseconds())
@@ -111,48 +105,7 @@ func (s *Server) runBatch(fp string, lanes []*batchLane, why batch.Reason) {
 	defer func() {
 		s.metrics.Set(MetricBatchLanes, s.laneCount.Add(-int64(len(lanes))))
 	}()
-
-	trace := false
-	as := make([]*matrix.Sparse, len(lanes))
-	bs := make([]*matrix.Sparse, len(lanes))
-	for i, ln := range lanes {
-		as[i], bs[i] = ln.a, ln.b
-		trace = trace || ln.trace
-	}
-	// Lanes coalesced on one fingerprint share the structure, so any lane's
-	// prepared plan serves the whole group.
-	outs, rep, err := s.executeBatch(lanes[0].prep, as, bs, trace)
-	if err != nil {
-		for _, ln := range lanes {
-			if ln.deliver != nil {
-				s.metrics.Add(MetricErrors, 1)
-				ln.deliver(nil, err)
-				continue
-			}
-			ln.done <- laneOut{err: err}
-		}
-		return
-	}
-	var exp *obsv.Export
-	if rep.Profile != nil {
-		exp = rep.Profile.Export()
-	}
-	for i, ln := range lanes {
-		out := laneOut{x: outs[i], rep: rep}
-		if ln.trace {
-			out.profile = exp
-		}
-		if ln.deliver != nil {
-			resp := &MultiplyResponse{X: out.x, Report: out.rep, Fingerprint: ln.fp, CacheHit: ln.hit}
-			if ln.trace {
-				resp.Profile = out.profile
-			}
-			s.metrics.Add(MetricServed, 1)
-			ln.deliver(resp, nil)
-			continue
-		}
-		ln.done <- out
-	}
+	s.runLanes(lanes)
 }
 
 // BatchLane is one value set of an explicit batched multiply.
@@ -184,57 +137,32 @@ type MultiplyBatchResponse struct {
 
 // MultiplyBatch serves an explicit batch: every lane must share lane 0's
 // sparsity structure (same plan fingerprint); the group is admitted as one
-// request, holds one worker slot, and goes through the same fault policy
-// as coalesced batches.
+// request, holds one worker slot, and runs as one group of lanes like a
+// coalesced batch.
 func (s *Server) MultiplyBatch(ctx context.Context, req *MultiplyBatchRequest) (*MultiplyBatchResponse, error) {
-	if len(req.Lanes) == 0 || req.Xhat == nil {
-		return nil, fmt.Errorf("%w: batch multiply needs lanes and Xhat", ErrInvalid)
-	}
-	var fp0 string
-	for l, lane := range req.Lanes {
-		if lane.A == nil || lane.B == nil {
-			return nil, fmt.Errorf("%w: lane %d: missing A or B", ErrInvalid, l)
-		}
-		if n := lane.A.Support().N; n != lane.B.Support().N || n != req.Xhat.N {
-			return nil, fmt.Errorf("%w: lane %d: dimension mismatch %d/%d/%d",
-				ErrInvalid, l, n, lane.B.Support().N, req.Xhat.N)
-		}
-		fp, err := core.Fingerprint(lane.A.Support(), lane.B.Support(), req.Xhat, req.Options)
-		if err != nil {
-			return nil, fmt.Errorf("%w: lane %d: %v", ErrInvalid, l, err)
-		}
-		if l == 0 {
-			fp0 = fp
-		} else if fp != fp0 {
-			return nil, fmt.Errorf("%w: lane %d: structure differs from lane 0 (batched lanes must share one plan)",
-				ErrInvalid, l)
-		}
-	}
-	release, err := s.admit(ctx)
+	plan, release, err := s.begin(ctx, req.Lanes, req.Xhat, req.Options)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-	prep, fp, hit, err := s.prepared(req.Lanes[0].A.Support(), req.Lanes[0].B.Support(), req.Xhat, req.Options)
+	resp := &MultiplyBatchResponse{X: make([]*matrix.Sparse, len(req.Lanes)), Fingerprint: plan.fp, CacheHit: plan.hit}
+	lanes := make([]*lane, len(req.Lanes))
+	for l, v := range req.Lanes {
+		ln := plan
+		ln.a, ln.b, ln.trace = v.A, v.B, req.Trace
+		ln.deliver = func(out *MultiplyResponse, laneErr error) {
+			if laneErr != nil {
+				err = laneErr
+				return
+			}
+			resp.X[l], resp.Report, resp.Profile = out.X, out.Report, out.Profile
+		}
+		lanes[l] = &ln
+	}
+	s.batchHist.Observe(int64(len(lanes)))
+	s.runLanes(lanes)
 	if err != nil {
-		s.metrics.Add(MetricErrors, 1)
 		return nil, err
 	}
-	as := make([]*matrix.Sparse, len(req.Lanes))
-	bs := make([]*matrix.Sparse, len(req.Lanes))
-	for i, lane := range req.Lanes {
-		as[i], bs[i] = lane.A, lane.B
-	}
-	s.batchHist.Observe(int64(len(req.Lanes)))
-	outs, rep, err := s.executeBatch(prep, as, bs, req.Trace)
-	if err != nil {
-		s.metrics.Add(MetricErrors, 1)
-		return nil, err
-	}
-	resp := &MultiplyBatchResponse{X: outs, Report: rep, Fingerprint: fp, CacheHit: hit}
-	if req.Trace && rep.Profile != nil {
-		resp.Profile = rep.Profile.Export()
-	}
-	s.metrics.Add(MetricServed, 1)
 	return resp, nil
 }

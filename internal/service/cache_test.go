@@ -102,6 +102,10 @@ func TestCacheSingleflight(t *testing.T) {
 	for i := 0; i < n; i++ {
 		<-started
 	}
+	// A started goroutine may not have reached Get yet: hold the compile
+	// until every other goroutine has joined it, or a late one would
+	// (correctly) find the finished plan and count as a hit.
+	waitFor(t, func() bool { return m.Get(MetricCacheJoins) == n-1 })
 	close(gate)
 	wg.Wait()
 

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -136,9 +137,12 @@ func TestServerInvalidRequests(t *testing.T) {
 }
 
 // TestWriteServeErrTaxonomy pins the HTTP status for every class in the
-// error taxonomy (docs/SERVICE.md).
+// error taxonomy (docs/SERVICE.md), and that writeServeErr writes exactly
+// what ErrStatus — the code the stream and shard layers report — says,
+// with Retry-After on the retryable shed.
 func TestWriteServeErrTaxonomy(t *testing.T) {
 	fault := &lbm.ErrFault{Kind: lbm.FaultDrop, Round: 2, Node: 3, From: 1, To: 3}
+	tooLarge := &http.MaxBytesError{Limit: MaxBodyBytes}
 	cases := []struct {
 		err  error
 		want int
@@ -146,6 +150,8 @@ func TestWriteServeErrTaxonomy(t *testing.T) {
 		{errors.New("wrap: " + ErrInvalid.Error()), http.StatusInternalServerError},
 		{ErrInvalid, http.StatusBadRequest},
 		{errors.Join(ErrInvalid, errors.New("detail")), http.StatusBadRequest},
+		{tooLarge, http.StatusRequestEntityTooLarge},
+		{fmt.Errorf("%w: bad request body: %w", ErrInvalid, tooLarge), http.StatusRequestEntityTooLarge},
 		{ErrOverloaded, http.StatusServiceUnavailable},
 		{context.DeadlineExceeded, http.StatusGatewayTimeout},
 		{context.Canceled, statusClientClosedRequest},
@@ -157,6 +163,12 @@ func TestWriteServeErrTaxonomy(t *testing.T) {
 		writeServeErr(rec, c.err)
 		if rec.Code != c.want {
 			t.Errorf("writeServeErr(%v) = %d, want %d", c.err, rec.Code, c.want)
+		}
+		if got := ErrStatus(c.err); got != rec.Code {
+			t.Errorf("ErrStatus(%v) = %d, but writeServeErr wrote %d", c.err, got, rec.Code)
+		}
+		if retry := rec.Header().Get("Retry-After") != ""; retry != (c.want == http.StatusServiceUnavailable) {
+			t.Errorf("writeServeErr(%v): Retry-After present = %v", c.err, retry)
 		}
 	}
 }

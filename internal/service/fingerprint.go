@@ -1,7 +1,7 @@
 package service
 
 import (
-	"encoding/json"
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -19,10 +19,13 @@ import (
 var ErrBadRequest = errors.New("service: unfingerprintable request")
 
 // RequestFingerprint computes the plan fingerprint a server would use for
-// the body of a serving-API request, without building value matrices or
-// compiling anything. This is what the shard tier routes by: a front-end
-// only needs the sparsity structure (entry positions), the ring, the
-// algorithm and d to know which shard owns the plan.
+// the body of a serving-API request, without compiling anything. This is
+// what the shard tier routes by: a front-end only needs the sparsity
+// structure, the ring, the algorithm and d to know which shard owns the
+// plan. A value-carrying body is parsed exactly as the server parses it
+// (ParseWireMultiply) and keyed from the supports of the built operands, so
+// the router and the server cannot disagree on which bodies are valid or
+// what their structure is.
 //
 // path selects the wire schema: "/v1/multiply", "/v1/multiply/batch"
 // (fingerprinted by lane 0 — the handler enforces that all lanes share it)
@@ -40,75 +43,60 @@ func RequestFingerprint(path string, body []byte) (fp string, err error) {
 	switch path {
 	case "/v1/multiply":
 		var req wireMultiplyRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return "", fmt.Errorf("bad request body: %w", err)
+		if err := decodeJSON(bytes.NewReader(body), &req); err != nil {
+			return "", err
 		}
-		return structureFingerprint(req.N, req.Ring, req.Algorithm, req.D, req.A, req.B, req.Xhat)
+		return multiplyFingerprint(&req)
 	case "/v1/multiply/batch":
 		var req wireMultiplyBatchRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return "", fmt.Errorf("bad request body: %w", err)
+		if err := decodeJSON(bytes.NewReader(body), &req); err != nil {
+			return "", err
 		}
 		if len(req.Lanes) == 0 {
 			return "", fmt.Errorf("batch multiply needs lanes")
 		}
-		return structureFingerprint(req.N, req.Ring, req.Algorithm, req.D, req.Lanes[0].A, req.Lanes[0].B, req.Xhat)
+		return multiplyFingerprint(&wireMultiplyRequest{
+			N: req.N, Ring: req.Ring, Algorithm: req.Algorithm, D: req.D,
+			A: req.Lanes[0].A, B: req.Lanes[0].B, Xhat: req.Xhat,
+		})
 	case "/v1/prepare":
 		var req wirePrepareRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return "", fmt.Errorf("bad request body: %w", err)
+		if err := decodeJSON(bytes.NewReader(body), &req); err != nil {
+			return "", err
+		}
+		opts, err := wireOptions(req.Ring, req.Algorithm, req.D)
+		if err != nil {
+			return "", err
 		}
 		supports, err := buildSupports(req.N, req.Ahat, req.Bhat, req.Xhat)
 		if err != nil {
 			return "", err
 		}
-		return optionsFingerprint(supports[0], supports[1], supports[2], req.Ring, req.Algorithm, req.D)
+		fp, _, err := planKey(supports[0], supports[1], supports[2], opts)
+		return fp, err
 	}
 	return "", fmt.Errorf("no fingerprint for path %q", path)
 }
 
-// structureFingerprint fingerprints a value-carrying request from the
-// positions of its entries: the structure is (A's positions, B's positions,
-// Xhat), exactly what (*Sparse).Support() of the built matrices would hold.
-func structureFingerprint(n int, ringName, alg string, d int, a, b []wireEntry, xhat []wirePos) (string, error) {
-	ahat, err := supportOfEntries(n, a, "a")
+// multiplyFingerprint is the plan key of a multiply payload: the payload
+// parsed as the server parses it, keyed from its operands' supports.
+func multiplyFingerprint(wm *wireMultiplyRequest) (string, error) {
+	req, err := ParseWireMultiply(wm)
 	if err != nil {
 		return "", err
 	}
-	bhat, err := supportOfEntries(n, b, "b")
-	if err != nil {
-		return "", err
-	}
-	xs, err := buildSupport(n, xhat, "xhat")
-	if err != nil {
-		return "", err
-	}
-	return optionsFingerprint(ahat, bhat, xs, ringName, alg, d)
+	fp, _, err := planKey(req.A.Support(), req.B.Support(), req.Xhat, req.Options)
+	return fp, err
 }
 
-// supportOfEntries builds the support of a wire value list (positions only,
-// duplicates collapsed — matching Sparse.Set overwrite semantics).
-func supportOfEntries(n int, entries []wireEntry, what string) (*matrix.Support, error) {
-	if err := checkN(n); err != nil {
-		return nil, err
-	}
-	pos := make([][2]int, 0, len(entries))
-	for _, e := range entries {
-		i, j := int(e[0]), int(e[1])
-		if float64(i) != e[0] || float64(j) != e[1] || i < 0 || i >= n || j < 0 || j >= n {
-			return nil, fmt.Errorf("%s: entry (%g,%g) is not a valid index pair for n=%d", what, e[0], e[1], n)
-		}
-		pos = append(pos, [2]int{i, j})
-	}
-	return matrix.NewSupport(n, pos), nil
-}
-
-// optionsFingerprint resolves the wire options the way Server.prepared does
-// (engine cleared: the fingerprint is engine-agnostic) and hashes.
-func optionsFingerprint(ahat, bhat, xhat *matrix.Support, ringName, alg string, d int) (string, error) {
-	r, err := resolveRing(ringName)
-	if err != nil {
-		return "", err
-	}
-	return core.Fingerprint(ahat, bhat, xhat, core.Options{Ring: r, D: d, Algorithm: alg})
+// planKey is the plan cache key of a structure, and the options reduced to
+// what identifies a plan: the ring, the algorithm and d. The execution
+// engine never enters either, so a cached plan cannot inherit an engine
+// override from whichever request compiled it first. Server.prepared and
+// RequestFingerprint both key through here, so a router and the server it
+// routes to cannot compute different keys for one request.
+func planKey(ahat, bhat, xhat *matrix.Support, opts core.Options) (string, core.Options, error) {
+	opts = core.Options{Ring: opts.Ring, D: opts.D, Algorithm: opts.Algorithm}
+	fp, err := core.Fingerprint(ahat, bhat, xhat, opts)
+	return fp, opts, err
 }

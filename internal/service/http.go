@@ -1,10 +1,9 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
 	"lbmm/internal/core"
@@ -182,13 +181,13 @@ func NewHandler(s *Server) http.Handler {
 
 func handleMultiply(s *Server, w http.ResponseWriter, r *http.Request) {
 	var wm wireMultiplyRequest
-	if err := decodeBody(r, &wm); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if err := decodeBody(w, r, &wm); err != nil {
+		writeServeErr(w, err)
 		return
 	}
 	req, err := ParseWireMultiply(&wm)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		writeServeErr(w, err)
 		return
 	}
 	resp, err := s.Multiply(r.Context(), req)
@@ -204,40 +203,17 @@ func handleMultiply(s *Server, w http.ResponseWriter, r *http.Request) {
 }
 
 func handleMultiplyBatch(s *Server, w http.ResponseWriter, r *http.Request) {
-	var req wireMultiplyBatchRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	var wb wireMultiplyBatchRequest
+	if err := decodeBody(w, r, &wb); err != nil {
+		writeServeErr(w, err)
 		return
 	}
-	ringSR, err := resolveRing(req.Ring)
+	req, err := parseWireBatch(&wb)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		writeServeErr(w, err)
 		return
 	}
-	lanes := make([]BatchLane, len(req.Lanes))
-	for l, wl := range req.Lanes {
-		a, err := buildSparse(req.N, ringSR, wl.A, fmt.Sprintf("lanes[%d].a", l))
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		b, err := buildSparse(req.N, ringSR, wl.B, fmt.Sprintf("lanes[%d].b", l))
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		lanes[l] = BatchLane{A: a, B: b}
-	}
-	xhat, err := buildSupport(req.N, req.Xhat, "xhat")
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	resp, err := s.MultiplyBatch(r.Context(), &MultiplyBatchRequest{
-		Lanes: lanes, Xhat: xhat,
-		Options: core.Options{Ring: ringSR, D: req.D, Algorithm: req.Algorithm},
-		Trace:   req.Trace,
-	})
+	resp, err := s.MultiplyBatch(r.Context(), req)
 	if err != nil {
 		writeServeErr(w, err)
 		return
@@ -255,23 +231,22 @@ func handleMultiplyBatch(s *Server, w http.ResponseWriter, r *http.Request) {
 
 func handlePrepare(s *Server, w http.ResponseWriter, r *http.Request) {
 	var req wirePrepareRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if err := decodeBody(w, r, &req); err != nil {
+		writeServeErr(w, err)
 		return
 	}
-	ringSR, err := resolveRing(req.Ring)
+	opts, err := wireOptions(req.Ring, req.Algorithm, req.D)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		writeServeErr(w, err)
 		return
 	}
 	supports, err := buildSupports(req.N, req.Ahat, req.Bhat, req.Xhat)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		writeServeErr(w, err)
 		return
 	}
 	resp, err := s.Prepare(r.Context(), &PrepareRequest{
-		Ahat: supports[0], Bhat: supports[1], Xhat: supports[2],
-		Options: core.Options{Ring: ringSR, D: req.D, Algorithm: req.Algorithm},
+		Ahat: supports[0], Bhat: supports[1], Xhat: supports[2], Options: opts,
 	})
 	if err != nil {
 		writeServeErr(w, err)
@@ -288,13 +263,13 @@ func handlePrepare(s *Server, w http.ResponseWriter, r *http.Request) {
 
 func handleClassify(s *Server, w http.ResponseWriter, r *http.Request) {
 	var req wireClassifyRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if err := decodeBody(w, r, &req); err != nil {
+		writeServeErr(w, err)
 		return
 	}
 	supports, err := buildSupports(req.N, req.Ahat, req.Bhat, req.Xhat)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		writeServeErr(w, err)
 		return
 	}
 	resp, err := s.Classify(r.Context(), &ClassifyRequest{
@@ -315,26 +290,51 @@ func handleClassify(s *Server, w http.ResponseWriter, r *http.Request) {
 
 // ---------------------------------------------------------------------------
 // wire helpers
+//
+// Every helper that rejects untrusted wire input wraps ErrInvalid, so the
+// handlers map all of them through ErrStatus to 400.
 
-func decodeBody(r *http.Request, into any) error {
-	dec := json.NewDecoder(r.Body)
+// MaxBodyBytes bounds the body of every serving-API request, both where a
+// handler decodes it and where the shard router buffers it to route. A
+// longer body is refused with 413 Request Entity Too Large.
+const MaxBodyBytes = 128 << 20
+
+// decodeBody decodes a request body of at most MaxBodyBytes. A declared
+// length over the bound is refused before anything is read.
+func decodeBody(w http.ResponseWriter, r *http.Request, into any) error {
+	if r.ContentLength > MaxBodyBytes {
+		return &http.MaxBytesError{Limit: MaxBodyBytes}
+	}
+	return decodeJSON(http.MaxBytesReader(w, r.Body, MaxBodyBytes), into)
+}
+
+// decodeJSON decodes one request payload, rejecting unknown fields. The
+// handlers and RequestFingerprint share it, so a router accepts exactly
+// the bodies the handler behind it accepts.
+func decodeJSON(r io.Reader, into any) error {
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
-		return fmt.Errorf("bad request body: %w", err)
+		return fmt.Errorf("%w: bad request body: %w", ErrInvalid, err)
 	}
 	return nil
 }
 
-func resolveRing(name string) (ring.Semiring, error) {
-	if name == "" {
-		name = "real"
+// wireOptions resolves a payload's plan options.
+func wireOptions(ringName, alg string, d int) (core.Options, error) {
+	if ringName == "" {
+		ringName = "real"
 	}
-	return matrix.RingByName(name)
+	r, err := matrix.RingByName(ringName)
+	if err != nil {
+		return core.Options{}, fmt.Errorf("%w: %w", ErrInvalid, err)
+	}
+	return core.Options{Ring: r, D: d, Algorithm: alg}, nil
 }
 
 func checkN(n int) error {
 	if n < 1 || n > maxWireN {
-		return fmt.Errorf("n must be in [1, %d], got %d", maxWireN, n)
+		return fmt.Errorf("%w: n must be in [1, %d], got %d", ErrInvalid, maxWireN, n)
 	}
 	return nil
 }
@@ -347,7 +347,7 @@ func buildSparse(n int, r ring.Semiring, entries []wireEntry, what string) (*mat
 	for _, e := range entries {
 		i, j := int(e[0]), int(e[1])
 		if float64(i) != e[0] || float64(j) != e[1] || i < 0 || i >= n || j < 0 || j >= n {
-			return nil, fmt.Errorf("%s: entry (%g,%g) is not a valid index pair for n=%d", what, e[0], e[1], n)
+			return nil, fmt.Errorf("%w: %s: entry (%g,%g) is not a valid index pair for n=%d", ErrInvalid, what, e[0], e[1], n)
 		}
 		m.Set(i, j, e[2])
 	}
@@ -360,7 +360,7 @@ func buildSupport(n int, positions []wirePos, what string) (*matrix.Support, err
 	}
 	for _, p := range positions {
 		if p[0] < 0 || p[0] >= n || p[1] < 0 || p[1] >= n {
-			return nil, fmt.Errorf("%s: position (%d,%d) out of range for n=%d", what, p[0], p[1], n)
+			return nil, fmt.Errorf("%w: %s: position (%d,%d) out of range for n=%d", ErrInvalid, what, p[0], p[1], n)
 		}
 	}
 	return matrix.NewSupport(n, positions), nil
@@ -408,34 +408,18 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func writeErr(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, wireError{Error: err.Error()})
-}
-
 // statusClientClosedRequest is the (nginx-conventional) status for a
-// request whose caller hung up while it waited for admission; Go's net/http
-// has no named constant for it.
+// request whose caller hung up while it waited; Go's net/http has no named
+// constant for it.
 const statusClientClosedRequest = 499
 
-// writeServeErr maps server-side errors to status codes — the error
-// taxonomy of docs/SERVICE.md: invalid requests are 400 (retrying unchanged
-// cannot succeed), load shedding 503 (retryable), deadline expiry 504,
-// caller cancellation 499, a network fault that survived the retry policy
-// 500 with its round/node provenance in the body, anything else 500.
+// writeServeErr writes err with its ErrStatus code. A shed request also
+// gets Retry-After: shed means "come back, just not immediately", and the
+// header turns client retry storms into backoff instead of hammering.
 func writeServeErr(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, ErrInvalid):
-		writeErr(w, http.StatusBadRequest, err)
-	case errors.Is(err, ErrOverloaded):
-		// Shed means "come back, just not immediately": a Retry-After turns
-		// client retry storms into backoff instead of hammering.
+	status := ErrStatus(err)
+	if status == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", "1")
-		writeErr(w, http.StatusServiceUnavailable, err)
-	case errors.Is(err, context.DeadlineExceeded):
-		writeErr(w, http.StatusGatewayTimeout, err)
-	case errors.Is(err, context.Canceled):
-		writeErr(w, statusClientClosedRequest, err)
-	default:
-		writeErr(w, http.StatusInternalServerError, err)
 	}
+	writeJSON(w, status, wireError{Error: err.Error()})
 }

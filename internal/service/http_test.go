@@ -298,3 +298,36 @@ func TestHTTPOverloadSetsRetryAfter(t *testing.T) {
 		t.Fatalf("Retry-After = %q, want \"1\"", got)
 	}
 }
+
+// TestHTTPBodyCap: a body declaring more than MaxBodyBytes is refused with
+// 413 on every endpoint before a byte of it is decoded — the request never
+// reaches admission.
+func TestHTTPBodyCap(t *testing.T) {
+	srv := NewServer(Config{CacheSize: 4})
+	h := NewHandler(srv)
+	inst := workload.Blocks(16, 4)
+	r := ring.Counting{}
+	body, err := json.Marshal(wireMultiplyRequest{
+		N: inst.N, Ring: "counting", Xhat: supportPositions(inst.Xhat),
+		A: sparseEntries(matrix.Random(inst.Ahat, r, 1)), B: sparseEntries(matrix.Random(inst.Bhat, r, 2)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/v1/multiply", "/v1/multiply/batch", "/v1/prepare", "/v1/classify"} {
+		req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+		req.ContentLength = MaxBodyBytes + 1
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d for a body over the cap, want 413: %s", path, rec.Code, rec.Body)
+		}
+	}
+	if m := srv.Metrics(); m[MetricRequests] != 0 {
+		t.Errorf("oversized bodies reached admission: serve/requests = %d", m[MetricRequests])
+	}
+	// The same body within the cap is served.
+	if rec := postJSON(t, h, "/v1/multiply", json.RawMessage(body)); rec.Code != http.StatusOK {
+		t.Fatalf("body within the cap: status %d: %s", rec.Code, rec.Body)
+	}
+}

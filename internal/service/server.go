@@ -40,10 +40,12 @@ type Config struct {
 	// QueueDepth bounds how many admitted requests may wait for a worker
 	// before new ones are shed with ErrOverloaded (default 4×Workers).
 	QueueDepth int
-	// Deadline caps a request's total time in the server — queue wait plus
-	// a pre-execution check — when the caller's context carries no earlier
-	// deadline (default 30s). Plan execution itself is not preempted; the
-	// deadline is admission control, not a watchdog.
+	// Deadline caps how long a request waits in the server — for
+	// admission, and for a multiply separately for its lane's outcome —
+	// when the caller's context carries no earlier deadline (default 30s).
+	// A cold plan compile runs between the two waits and counts against
+	// neither. Plan execution itself is never preempted: a caller that
+	// stops waiting leaves its lane to finish and be counted.
 	Deadline time.Duration
 	// FaultInjector, when non-nil, supplies the fault injector for each
 	// execution attempt — the hook chaos drills use to exercise the retry
@@ -160,12 +162,12 @@ type Server struct {
 	queued  atomic.Int64
 	active  atomic.Int64
 
-	// Dynamic batching (nil coalescer when BatchSize <= 1): requests park
-	// in the coalescer keyed by plan fingerprint; runBatch executes each
-	// launched group on one worker slot and fans results back per lane.
-	// ctrl is non-nil only under BatchAdaptive: it decides each key's
-	// launch policy and is fed every launch outcome.
-	coal      *batch.Coalescer[*batchLane]
+	// Dynamic batching (nil coalescer when BatchSize <= 1): lanes park in
+	// the coalescer keyed by plan fingerprint; runBatch executes each
+	// launched group on one worker slot. ctrl is non-nil only under
+	// BatchAdaptive: it decides each key's launch policy and is fed every
+	// launch outcome.
+	coal      *batch.Coalescer[*lane]
 	ctrl      *control.Controller
 	batchHist *obsv.Histogram
 	laneCount atomic.Int64
@@ -203,7 +205,7 @@ func NewServer(cfg Config) *Server {
 			})
 			bcfg.Decide = s.ctrl.Decide
 		}
-		s.coal = batch.New[*batchLane](bcfg, s.runBatch)
+		s.coal = batch.New[*lane](bcfg, s.runBatch)
 	}
 	return s
 }
@@ -273,13 +275,20 @@ func (s *Server) admit(ctx context.Context) (release func(), err error) {
 		return s.release, nil
 	case <-ctx.Done():
 		s.metrics.Set(MetricQueueDepth, s.queued.Add(-1))
-		if errors.Is(ctx.Err(), context.Canceled) {
-			s.metrics.Add(MetricCanceled, 1)
-		} else {
-			s.metrics.Add(MetricDeadlineExceeded, 1)
-		}
-		return nil, ctx.Err()
+		return nil, s.expired(ctx)
 	}
+}
+
+// expired counts a wait ended by the caller's context and returns its
+// error: a caller that hung up is serve/canceled, never
+// serve/deadline_exceeded.
+func (s *Server) expired(ctx context.Context) error {
+	if errors.Is(ctx.Err(), context.Canceled) {
+		s.metrics.Add(MetricCanceled, 1)
+	} else {
+		s.metrics.Add(MetricDeadlineExceeded, 1)
+	}
+	return ctx.Err()
 }
 
 // release returns a worker slot taken by admit.
@@ -301,11 +310,7 @@ func (s *Server) release() {
 // quarantined by the store, and the request falls through to a compile
 // exactly as if the tier had missed.
 func (s *Server) prepared(ahat, bhat, xhat *matrix.Support, opts core.Options) (*core.Prepared, string, bool, error) {
-	// Every cached plan is compiled-only; the fingerprint is
-	// engine-agnostic, so a plan must not inherit an engine override from
-	// whichever request compiled it first.
-	opts.Engine = ""
-	fp, err := core.Fingerprint(ahat, bhat, xhat, opts)
+	fp, opts, err := planKey(ahat, bhat, xhat, opts)
 	if err != nil {
 		return nil, "", false, err
 	}
@@ -364,105 +369,35 @@ type MultiplyResponse struct {
 	Profile *obsv.Export
 }
 
-// faultRetries is how many times an execution that fails with a typed
-// network fault (lbm.ErrFault) is retried before the fault reaches the
-// caller. Non-fault errors are never retried.
-const faultRetries = 1
-
-// runFaultPolicy drives one request (scalar or batched) through the
-// server's fault policy: an attempt that fails with a typed network fault
-// is retried up to faultRetries times on the same compiled plan (every
-// faulted attempt counts as serve/faults, every retry as serve/retries).
-// Non-fault errors return immediately; a fault that outlasts the retries
-// surfaces to the caller with its provenance intact. run performs one
-// attempt with the given options.
-func (s *Server) runFaultPolicy(trace bool, run func(core.ExecOpts) error) error {
-	for attempt := 0; ; attempt++ {
-		opts := core.ExecOpts{Trace: trace}
-		if s.cfg.FaultInjector != nil {
-			opts.Injector = s.cfg.FaultInjector(attempt)
-		}
-		err := run(opts)
-		if err == nil || !lbm.IsFault(err) {
-			return err
-		}
-		s.metrics.Add(MetricFaults, 1)
-		if attempt == faultRetries {
-			return err
-		}
-		s.metrics.Add(MetricRetries, 1)
-	}
-}
-
-// execute runs a prepared plan on one value set under the fault policy.
-func (s *Server) execute(prep *core.Prepared, a, b *matrix.Sparse, trace bool) (*matrix.Sparse, *core.Report, error) {
-	var x *matrix.Sparse
-	var rep *core.Report
-	err := s.runFaultPolicy(trace, func(opts core.ExecOpts) error {
-		var attemptErr error
-		x, rep, attemptErr = prep.MultiplyOpts(a, b, opts)
-		return attemptErr
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return x, rep, nil
-}
-
-// executeBatch runs a prepared plan on k value sets as one batched run
-// under the same fault policy. A fault fails (and retries) the whole batch:
-// lanes share every round, so there is no per-lane partial success — the
-// caller fans the one outcome out to every lane.
-func (s *Server) executeBatch(prep *core.Prepared, as, bs []*matrix.Sparse, trace bool) ([]*matrix.Sparse, *core.Report, error) {
-	var outs []*matrix.Sparse
-	var rep *core.Report
-	err := s.runFaultPolicy(trace, func(opts core.ExecOpts) error {
-		var attemptErr error
-		outs, rep, attemptErr = prep.MultiplyBatch(as, bs, opts)
-		return attemptErr
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return outs, rep, nil
-}
-
-// Multiply serves one multiplication: admission control, plan-cache lookup
-// (compiling on a miss), then execution of the prepared plan against the
-// request's values under the fault policy.
+// Multiply serves one multiplication: MultiplySubmit, then a wait for the
+// lane's outcome. Admission waits under its own deadline (see admit), and a
+// cold plan compiles before the outcome wait starts, so Deadline bounds each
+// wait and never the compile. The outcome wait ends early when the caller's
+// context — or, if it carries no deadline, the server's Deadline — expires;
+// the lane still runs to completion and is counted, the caller just stops
+// waiting.
 func (s *Server) Multiply(ctx context.Context, req *MultiplyRequest) (*MultiplyResponse, error) {
-	if req.A == nil || req.B == nil || req.Xhat == nil {
-		return nil, fmt.Errorf("%w: multiply needs A, B and Xhat", ErrInvalid)
+	type outcome struct {
+		resp *MultiplyResponse
+		err  error
 	}
-	if n := req.A.Support().N; n != req.B.Support().N || n != req.Xhat.N {
-		return nil, fmt.Errorf("%w: dimension mismatch %d/%d/%d",
-			ErrInvalid, n, req.B.Support().N, req.Xhat.N)
-	}
-	release, err := s.admit(ctx)
-	if err != nil {
+	done := make(chan outcome, 1)
+	if err := s.MultiplySubmit(ctx, req, func(resp *MultiplyResponse, err error) {
+		done <- outcome{resp, err}
+	}); err != nil {
 		return nil, err
 	}
-	prep, fp, hit, err := s.prepared(req.A.Support(), req.B.Support(), req.Xhat, req.Options)
-	if err != nil {
-		release()
-		s.metrics.Add(MetricErrors, 1)
-		return nil, err
+	if _, has := ctx.Deadline(); !has {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.cfg.Deadline)
+		defer cancel()
 	}
-	if s.coal != nil {
-		return s.multiplyCoalesced(ctx, req, prep, fp, hit, release)
+	select {
+	case out := <-done:
+		return out.resp, out.err
+	case <-ctx.Done():
+		return nil, s.expired(ctx)
 	}
-	defer release()
-	x, rep, err := s.execute(prep, req.A, req.B, req.Trace)
-	if err != nil {
-		s.metrics.Add(MetricErrors, 1)
-		return nil, err
-	}
-	resp := &MultiplyResponse{X: x, Report: rep, Fingerprint: fp, CacheHit: hit}
-	if req.Trace && rep.Profile != nil {
-		resp.Profile = rep.Profile.Export()
-	}
-	s.metrics.Add(MetricServed, 1)
-	return resp, nil
 }
 
 // PrepareRequest warms the cache for an explicit structure (no values).

@@ -275,3 +275,52 @@ func waitFor(t *testing.T, cond func() bool) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestServerDeadlineExcludesCompile: Deadline bounds the wait for admission
+// and the wait for a lane's outcome, not a cold compile. A request that
+// joins a compile running three Deadlines long must still be served, with
+// and without batching, and must not count as deadline_exceeded.
+func TestServerDeadlineExcludesCompile(t *testing.T) {
+	const deadline = 200 * time.Millisecond
+	r := ring.Counting{}
+	inst := workload.Blocks(16, 4)
+	a := matrix.Random(inst.Ahat, r, 1)
+	b := matrix.Random(inst.Bhat, r, 2)
+	want := matrix.MulReference(a, b, inst.Xhat)
+	for _, mode := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"unbatched", Config{Deadline: deadline}},
+		{"static8", Config{Deadline: deadline, BatchSize: 8}},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			srv := NewServer(mode.cfg)
+			defer srv.Close()
+			fp, opts, err := planKey(a.Support(), b.Support(), inst.Xhat, core.Options{Ring: r})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Hold the plan's compile in flight past three Deadlines; the
+			// request below joins it in the cache.
+			started := make(chan struct{})
+			go srv.cache.Get(fp, func() (*core.Prepared, error) {
+				close(started)
+				time.Sleep(3 * deadline)
+				return core.Prepare(inst.Ahat, inst.Bhat, inst.Xhat, opts)
+			})
+			<-started
+			resp, err := srv.Multiply(context.Background(), &MultiplyRequest{A: a, B: b, Xhat: inst.Xhat, Options: core.Options{Ring: r}})
+			if err != nil {
+				t.Fatalf("request behind a slow compile: %v", err)
+			}
+			if !matrix.Equal(resp.X, want) {
+				t.Fatal("wrong product")
+			}
+			if m := srv.Metrics(); m[MetricServed] != 1 || m[MetricDeadlineExceeded] != 0 || m[MetricCacheJoins] != 1 {
+				t.Errorf("served=%d deadline_exceeded=%d joins=%d, want 1/0/1",
+					m[MetricServed], m[MetricDeadlineExceeded], m[MetricCacheJoins])
+			}
+		})
+	}
+}

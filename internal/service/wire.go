@@ -3,9 +3,9 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 
-	"lbmm/internal/core"
 	"lbmm/internal/matrix"
 )
 
@@ -26,18 +26,18 @@ type (
 
 // ParseWireMultiply builds the in-memory request from its wire payload,
 // validating dimension bounds and indices. POST /v1/multiply and the stream
-// layer both parse through it. Errors are the caller's fault (map to
-// ErrInvalid semantics).
+// layer both parse through it. Every error wraps ErrInvalid: it is the
+// caller's fault.
 func ParseWireMultiply(wm *WireMultiply) (*MultiplyRequest, error) {
-	ringSR, err := resolveRing(wm.Ring)
+	opts, err := wireOptions(wm.Ring, wm.Algorithm, wm.D)
 	if err != nil {
 		return nil, err
 	}
-	a, err := buildSparse(wm.N, ringSR, wm.A, "a")
+	a, err := buildSparse(wm.N, opts.Ring, wm.A, "a")
 	if err != nil {
 		return nil, err
 	}
-	b, err := buildSparse(wm.N, ringSR, wm.B, "b")
+	b, err := buildSparse(wm.N, opts.Ring, wm.B, "b")
 	if err != nil {
 		return nil, err
 	}
@@ -45,11 +45,29 @@ func ParseWireMultiply(wm *WireMultiply) (*MultiplyRequest, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &MultiplyRequest{
-		A: a, B: b, Xhat: xhat,
-		Options: core.Options{Ring: ringSR, D: wm.D, Algorithm: wm.Algorithm},
-		Trace:   wm.Trace,
-	}, nil
+	return &MultiplyRequest{A: a, B: b, Xhat: xhat, Options: opts, Trace: wm.Trace}, nil
+}
+
+// parseWireBatch is ParseWireMultiply for POST /v1/multiply/batch.
+func parseWireBatch(wb *wireMultiplyBatchRequest) (*MultiplyBatchRequest, error) {
+	opts, err := wireOptions(wb.Ring, wb.Algorithm, wb.D)
+	if err != nil {
+		return nil, err
+	}
+	lanes := make([]BatchLane, len(wb.Lanes))
+	for l, wl := range wb.Lanes {
+		if lanes[l].A, err = buildSparse(wb.N, opts.Ring, wl.A, fmt.Sprintf("lanes[%d].a", l)); err != nil {
+			return nil, err
+		}
+		if lanes[l].B, err = buildSparse(wb.N, opts.Ring, wl.B, fmt.Sprintf("lanes[%d].b", l)); err != nil {
+			return nil, err
+		}
+	}
+	xhat, err := buildSupport(wb.N, wb.Xhat, "xhat")
+	if err != nil {
+		return nil, err
+	}
+	return &MultiplyBatchRequest{Lanes: lanes, Xhat: xhat, Options: opts, Trace: wb.Trace}, nil
 }
 
 // WireEntries flattens a sparse matrix to wire cells.
@@ -60,11 +78,18 @@ func BuildWireReport(resp *MultiplyResponse) WireReport {
 	return multiplyReportWire(resp.Report, resp.Fingerprint, resp.CacheHit, resp.Profile)
 }
 
-// ErrStatus maps a serving-layer error to its HTTP status code — the same
-// taxonomy writeServeErr applies to the scalar endpoints, exported so other
-// transports report identical codes.
+// ErrStatus maps a serving-layer error to its HTTP status code — the error
+// taxonomy of docs/SERVICE.md, shared by every handler, the shard router
+// and the stream layer so all transports report identical codes: a body
+// over MaxBodyBytes is 413, an invalid request 400 (retrying unchanged
+// cannot succeed), load shedding 503 (retryable), deadline expiry 504,
+// caller cancellation 499, and a network fault that survived the retry
+// policy — or anything else — 500.
 func ErrStatus(err error) int {
+	var tooLarge *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooLarge):
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrInvalid):
 		return http.StatusBadRequest
 	case errors.Is(err, ErrOverloaded):

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -19,11 +20,6 @@ const (
 	// ShardHeader names, on every response, the node that actually executed
 	// the request — the observable trail of forwards for tests and drills.
 	ShardHeader = "X-Lbmm-Shard"
-
-	// maxRouteBody bounds how much of a request body the router buffers to
-	// compute its fingerprint; it matches the support-size bound the wire
-	// layer enforces anyway. Larger bodies are passed through locally.
-	maxRouteBody = 128 << 20
 )
 
 // routedPaths are the endpoints routed by plan fingerprint. Everything else
@@ -82,11 +78,19 @@ func (rt *Router) Handler() http.Handler {
 
 // route buffers the body, fingerprints it, and either serves locally (we
 // own it, the body defies fingerprinting, or the request already hopped
-// once) or proxies to the owner.
+// once) or proxies to the owner. A body over service.MaxBodyBytes is
+// refused with 413, exactly as the handler behind the router refuses it.
 func (rt *Router) route(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxRouteBody))
+	var body []byte
+	var err error
+	if r.ContentLength > service.MaxBodyBytes {
+		err = &http.MaxBytesError{Limit: service.MaxBodyBytes}
+	} else {
+		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, service.MaxBodyBytes))
+	}
 	if err != nil {
-		http.Error(w, "reading request body: "+err.Error(), http.StatusBadRequest)
+		err = fmt.Errorf("%w: reading request body: %w", service.ErrInvalid, err)
+		http.Error(w, err.Error(), service.ErrStatus(err))
 		return
 	}
 	fp, err := service.RequestFingerprint(r.URL.Path, body)

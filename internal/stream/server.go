@@ -221,7 +221,7 @@ func (s *session) submit(srv *service.Server, f Frame) {
 	}
 	req, err := service.ParseWireMultiply(f.Submit)
 	if err != nil {
-		s.fail(f.ID, t, http.StatusBadRequest, err)
+		s.fail(f.ID, t, service.ErrStatus(err), err)
 		return
 	}
 	id := f.ID
